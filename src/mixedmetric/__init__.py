@@ -21,6 +21,7 @@ from .conjecture import (
     run_campaign,
 )
 from .errors import (
+    CampaignFileError,
     CycleExcludedError,
     DisconnectedError,
     DuplicateEdgeError,
@@ -29,6 +30,7 @@ from .errors import (
     InfeasibleEdgeCountError,
     InfeasibleError,
     InvalidSpecError,
+    InvariantError,
     MixedMetricError,
     NotACactusError,
     ParseError,
@@ -87,12 +89,13 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveMark", "BoundReport", "CactusSpec", "CampaignConfig", "CampaignSummary",
+    "ActiveMark", "BoundReport", "CactusSpec", "CampaignConfig", "CampaignFileError",
+    "CampaignSummary",
     "ConjectureRecord", "CycleExcludedError", "CycleInfo", "CycleTerm",
     "DisconnectedError", "DuplicateEdgeError", "Edge", "Element", "EmptySetError",
     "FailingPair", "GeneratorCertificate", "Graph", "GraphBuildError", "GraphClass",
     "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InfeasibleError",
-    "InvalidSpecError", "MdimReport", "MixedMetricError", "NotACactusError",
+    "InvalidSpecError", "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError",
     "ParseError", "Profile", "SearchResult", "SelfLoopError", "ThreeConnectedReport",
     "TooLargeError", "TooSmallError", "TvPartition", "UnknownElementError",
     "VertexOutOfRangeError", "active_marks", "all_pairs_distances",

@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
 from .conjecture import CampaignConfig, run_campaign
 from .errors import (
+    CampaignFileError,
     CycleExcludedError,
+    DisconnectedError,
     EmptySetError,
     GraphBuildError,
     InfeasibleEdgeCountError,
     InfeasibleError,
     InvalidSpecError,
+    InvariantError,
     NotACactusError,
     ParseError,
     TooLargeError,
@@ -47,14 +51,11 @@ _STRUCTURAL_ERRORS = (
     EmptySetError,
     InfeasibleError,
     UnknownElementError,
+    CampaignFileError,
 )
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _InvariantBreach(Exception):
     pass
 
 
@@ -91,7 +92,11 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(lineno + 1, "missing 'n m' header line")
     if len(edges) != header[1]:
         raise ParseError(lineno + 1, f"declared {header[1]} edges, found {len(edges)}")
-    return build_graph(header[0], edges)
+    n, m = header
+    if m < n - 1:
+        # Checked before build_graph allocates n adjacency lists.
+        raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
+    return build_graph(n, edges)
 
 
 def _emit(payload: dict) -> None:
@@ -162,7 +167,7 @@ def _cmd_dim(args) -> int:
         if classify(g).in_cactus_family:
             formula = mdim_exact(g).total
             if formula != result.value:
-                raise _InvariantBreach(
+                raise InvariantError(
                     f"formula gives {formula} but the oracle gives {result.value}"
                 )
             payload["formula"] = formula
@@ -189,7 +194,7 @@ def _cmd_dim(args) -> int:
 def _cmd_generator(args) -> int:
     cert = build_min_generator(parse_graph_file(args.graph))
     if not cert.verified:
-        raise _InvariantBreach("constructed generator failed oracle verification")
+        raise InvariantError("constructed generator failed oracle verification")
     if args.json:
         _emit(_certificate_payload(cert))
     else:
@@ -246,6 +251,19 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _bounded(kind, low, high=float("inf")):
+    """Argparse type: `kind` parsed from text and kept within [low, high]."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
+            span = f"at least {low}" if high == float("inf") else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
+        return value
+    # Argparse names the type in its message for unparsable text.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
@@ -297,7 +315,8 @@ def _build_parser() -> _Parser:
     dim = graph_command("dim", "exact dimension via the structural formula", _cmd_dim)
     dim.add_argument("--force-oracle", action="store_true",
                      help="use the brute-force search (cross-checks the formula on cacti)")
-    dim.add_argument("--max-n", type=int, default=16, help="oracle size cap (default 16)")
+    dim.add_argument("--max-n", type=_bounded(int, 2), default=16,
+                     help="oracle size cap (default 16)")
 
     graph_command("generator", "construct a certified minimum generator", _cmd_generator)
 
@@ -306,20 +325,23 @@ def _build_parser() -> _Parser:
                         help="comma-separated vertex ids, e.g. 0,2,5")
 
     oracle = graph_command("oracle", "brute-force dimension for any connected graph", _cmd_oracle)
-    oracle.add_argument("--max-n", type=int, default=16, help="search size cap (default 16)")
+    oracle.add_argument("--max-n", type=_bounded(int, 2), default=16,
+                        help="search size cap (default 16)")
 
     graph_command("bounds", "leaf-plus-two-per-cycle bound report", _cmd_bounds)
 
     conj = sub.add_parser("conjecture", help="run a seeded random-graph campaign")
-    conj.add_argument("--count", type=int, required=True, help="number of graphs")
+    conj.add_argument("--count", type=_bounded(int, 0), required=True,
+                      help="number of graphs")
     conj.add_argument("--out", required=True, help="append-only JSONL result file")
     conj.add_argument("--seed", type=int, default=0)
     conj.add_argument("--n-range", default="4..10", metavar="A..B")
-    conj.add_argument("--density", type=float, default=0.4,
+    conj.add_argument("--density", type=_bounded(float, 0, 1), default=0.4,
                       help="edge density fraction (default 0.4)")
     conj.add_argument("--fixed-m", type=int, default=None, help="use a fixed edge count")
     conj.add_argument("--cactus", action="store_true", help="sample random cacti instead")
-    conj.add_argument("--max-n", type=int, default=16, help="oracle size cap (default 16)")
+    conj.add_argument("--max-n", type=_bounded(int, 2), default=16,
+                      help="oracle size cap (default 16)")
     conj.set_defaults(handler=_cmd_conjecture)
     return parser
 
@@ -345,10 +367,18 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _STRUCTURAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    except _InvariantBreach as exc:
+    except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`mixedmetric dim big.txt | head`): not an
+        # error.  Point stdout at devnull so the exit-time flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

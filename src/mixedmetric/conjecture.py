@@ -16,7 +16,13 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InfeasibleEdgeCountError, InvalidSpecError, TooSmallError
+from .errors import (
+    CampaignFileError,
+    InfeasibleEdgeCountError,
+    InvalidSpecError,
+    InvariantError,
+    TooSmallError,
+)
 from .exact import mdim_exact
 from .graph import Graph, build_graph, graph_stats
 from .oracle import brute_force_mdim
@@ -170,7 +176,10 @@ def random_cactus(spec: CactusSpec) -> Graph:
             edges.extend((ring[i], ring[(i + 1) % length]) for i in range(length))
     g = build_graph(n, edges)
     info = classify(g)
-    assert info.in_cactus_family and info.cycle_count == spec.cycle_count
+    if not info.in_cactus_family or info.cycle_count != spec.cycle_count:
+        raise InvariantError(
+            f"grew a {info.tag.value} with {info.cycle_count} cycles from {spec}"
+        )
     return g
 
 
@@ -267,23 +276,17 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     The file is append-only: rerunning an identical config replays the
     same byte stream, and a partially written file resumes where the seed
     sequence left off.  The summary aggregates every record in the file.
+    A line that is not a complete record, such as a last line cut short,
+    raises CampaignFileError before anything is appended.
     """
     path = Path(config.output_path)
-    done = 0
-    if path.exists():
-        with path.open("r", encoding="utf-8") as fh:
-            done = sum(1 for line in fh if line.strip())
+    records = _read_campaign(path) if path.exists() else []
     with path.open("a", encoding="utf-8") as fh:
-        for index in range(done, config.count):
+        for index in range(len(records), config.count):
             record = evaluate_conjecture(_campaign_graph(config, index), config.max_n)
             fh.write(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
-
-    records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(ConjectureRecord(**json.loads(line)))
+            records.append(record)
     live = [r for r in records if not r.excluded]
     return CampaignSummary(
         count=len(records),
@@ -292,3 +295,21 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         min_gap=min((r.gap for r in live), default=None),
         violations=tuple(r for r in live if not r.holds),
     )
+
+
+def _read_campaign(path: Path) -> list[ConjectureRecord]:
+    records = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                # A line without its newline was cut short mid-write.
+                if not line.endswith("\n"):
+                    raise ValueError("no line end")
+                records.append(ConjectureRecord(**json.loads(line)))
+            except (ValueError, TypeError):
+                raise CampaignFileError(
+                    f"{path}: line {lineno} is not a complete campaign record"
+                ) from None
+    return records

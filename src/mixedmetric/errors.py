@@ -61,6 +61,14 @@ class InfeasibleEdgeCountError(MixedMetricError, ValueError):
     """Requested edge count is outside [n - 1, n(n-1)/2]."""
 
 
+class InvariantError(MixedMetricError):
+    """An internal consistency check failed: a bug, never bad input."""
+
+
+class CampaignFileError(MixedMetricError, ValueError):
+    """A campaign file holds a line that is not a complete record."""
+
+
 class ParseError(MixedMetricError, ValueError):
     """A graph file does not match the edge-list format."""
 

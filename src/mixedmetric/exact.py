@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CycleExcludedError, NotACactusError
+from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph, graph_stats
 from .oracle import is_mixed_generator
 from .structure import (
@@ -99,7 +99,8 @@ def delta_count(g: Graph, cycles: Iterable[CycleInfo]) -> int:
     """Number of cycles with rt >= 3 whose roots admit no geodesic triple."""
     count = 0
     for c in cycles:
-        assert all(0 <= v < g.n for v in c.ring)
+        if not all(0 <= v < g.n for v in c.ring):
+            raise InvariantError(f"cycle ring {c.ring} leaves the graph's vertices [0, {g.n})")
         if c.rt >= 3 and not has_geodesic_triple(c.length, c.root_positions):
             count += 1
     return count
@@ -126,13 +127,20 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
         if term.max_term > 0:
             added = augment_for_triple(cycle.length, cycle.root_positions,
                                        forbidden=cycle.root_positions)
-            assert len(added) == term.max_term
+            if len(added) != term.max_term:
+                raise InvariantError(
+                    f"cycle {term.cycle_id}: {len(added)} ring vertices added, "
+                    f"formula term is {term.max_term}"
+                )
             sb.append(tuple(sorted(cycle.ring[p] for p in added)))
         else:
             sb.append(())
         if term.needs_delta:
             added = augment_for_triple(cycle.length, cycle.root_positions)
-            assert len(added) == 1
+            if len(added) != 1:
+                raise InvariantError(
+                    f"cycle {term.cycle_id}: {len(added)} delta vertices added, expected 1"
+                )
             sc.append(tuple(sorted(cycle.ring[p] for p in added)))
         else:
             sc.append(())
@@ -142,7 +150,7 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
     chosen.update(v for part in sc for v in part)
     vertices = tuple(sorted(chosen))
     if len(vertices) != report.total:
-        raise AssertionError(
+        raise InvariantError(
             f"construction produced {len(vertices)} vertices, formula says {report.total}"
         )
     ok, _ = is_mixed_generator(g, vertices)

@@ -2,20 +2,27 @@
 
 A vertex set S is a mixed metric generator when every pair of distinct
 elements of V(G) union E(G) is told apart by the distance to some member
-of S.  Verification compares the full profile table; the exact dimension
-is found by exhaustive search over supersets of the forced leaf set.
+of S.  Verification searches breadth-first from the members of S only, in
+chunks, and compares profiles exactly: O(|S| (n + m)) time and
+O(_CHUNK n) memory, with no all-pairs matrix.  The exact dimension is
+found by exhaustive search over supersets of the forced leaf set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptySetError, TooLargeError, VertexOutOfRangeError
+from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
 from .graph import Element, Graph, all_pairs_distances, graph_stats
+
+# Members searched from at once by is_mixed_generator.  Its temporaries
+# take about 50 bytes per (vertex, member) cell of a chunk, so 64 keeps the
+# check of an n = 1.65e4 cactus near 0.1 GB; wider chunks were no faster.
+_CHUNK = 64
 
 
 class FailingPair(NamedTuple):
@@ -76,18 +83,70 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
 
     On failure also returns the first failing pair, ordering elements as
     vertices before edges and lexicographically within each kind.
+
+    Runs breadth-first search from the members only, _CHUNK of them at a
+    time, and refines one class label per element with each chunk's
+    distance columns, so two elements end in one class exactly when their
+    whole profiles agree.  Time O(|S| (n + m)), memory O(_CHUNK n).
     """
-    order = _checked_members(g, members)
-    rows = _element_rows(g)
-    elements = element_order(g)
-    by_profile: dict[tuple[int, ...], list[int]] = {}
-    for idx, row in enumerate(rows):
-        by_profile.setdefault(tuple(row[s] for s in order), []).append(idx)
-    clashes = [group for group in by_profile.values() if len(group) > 1]
-    if not clashes:
+    order = np.array(_checked_members(g, members), dtype=np.intp)
+    indptr, indices = _csr(g)
+    ends = np.array(g.edges, dtype=np.intp)
+    labels = np.zeros(g.n + g.m, dtype=np.intp)
+    for start in range(0, order.size, _CHUNK):
+        dist = _bfs_distances(indptr, indices, order[start:start + _CHUNK])
+        table = np.empty((g.n + g.m, dist.shape[1] + 1), dtype=np.int32)
+        table[:, 0] = labels
+        table[:g.n, 1:] = dist
+        np.minimum(dist[ends[:, 0]], dist[ends[:, 1]], out=table[g.n:, 1:])
+        rows = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+        labels = np.unique(rows, return_inverse=True)[1]
+    clashing = np.flatnonzero(np.bincount(labels)[labels] > 1)
+    if clashing.size == 0:
         return True, None
-    first = min((g[0], g[1]) for g in clashes)
-    return False, FailingPair(elements[first[0]], elements[first[1]])
+    # The smallest clashing index opens its class, and that class has the
+    # smallest first member; its next member completes the pair.
+    first = int(clashing[0])
+    second = int(np.flatnonzero(labels == labels[first])[1])
+    elements = element_order(g)
+    return False, FailingPair(elements[first], elements[second])
+
+
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    # Compressed adjacency: the neighbours of v are indices[indptr[v]:indptr[v + 1]].
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
+    return indptr, indices
+
+
+def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from every source at once: an n-by-len(sources) array.
+
+    Level-synchronous: a frontier cell is (vertex, source) flattened to
+    vertex * k + source.
+    """
+    n, k = indptr.size - 1, sources.size
+    dist = np.full(n * k, -1, dtype=np.int32)
+    stamp = np.empty(n * k, dtype=np.intp)
+    frontier = sources * k + np.arange(k)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        vertex, source = np.divmod(frontier, k)
+        begin = indptr[vertex]
+        count = indptr[vertex + 1] - begin
+        # Position of each neighbour in indices, frontier cell by cell.
+        shift = np.repeat(begin - (np.cumsum(count) - count), count)
+        cells = indices[np.arange(shift.size) + shift] * k + np.repeat(source, count)
+        cells = cells[dist[cells] < 0]
+        # Keep one copy of each cell: the copy whose position its stamp holds.
+        slots = np.arange(cells.size)
+        stamp[cells] = slots
+        frontier = cells[stamp[cells] == slots]
+        dist[frontier] = level
+    return dist.reshape(n, k)
 
 
 def forced_vertices(g: Graph) -> frozenset[int]:
@@ -116,7 +175,7 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
             chosen = tuple(sorted(forced + extra))
             if _profiles_distinct(rows, chosen):
                 return SearchResult(value=k, witness=chosen)
-    raise AssertionError("unreachable: the full vertex set is always a generator")
+    raise InvariantError("unreachable: the full vertex set is always a generator")
 
 
 def _profiles_distinct(rows: Sequence[tuple[int, ...]], members: tuple[int, ...]) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InfeasibleError, NotACactusError, VertexOutOfRangeError
+from .errors import InfeasibleError, InvariantError, NotACactusError, VertexOutOfRangeError
 from .graph import Edge, Graph, canonical_edge
 
 
@@ -200,7 +200,8 @@ def tv_partition(g: Graph, cycle: CycleInfo) -> TvPartition:
             if anchor[w] < 0 and canonical_edge(v, w) not in skip:
                 anchor[w] = anchor[v]
                 queue.append(w)
-    assert min(anchor) >= 0, "cycle does not belong to this connected graph"
+    if min(anchor) < 0:
+        raise InvariantError("cycle does not belong to this connected graph")
     return TvPartition(anchor=tuple(anchor))
 
 

@@ -1,13 +1,23 @@
 """Command-line surface: formats, exit codes, and output stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mixedmetric import DisconnectedError, ParseError, SelfLoopError
+from mixedmetric import (
+    CactusSpec,
+    DisconnectedError,
+    ParseError,
+    SelfLoopError,
+    random_cactus,
+)
 from mixedmetric.cli import parse_graph_file, run
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 BOWTIE = "5 6\n0 1\n1 2\n2 0\n0 3\n3 4\n4 0\n"
 P3 = "3 2\n0 1\n1 2\n"
@@ -55,6 +65,14 @@ class TestParseGraphFile:
             parse_graph_file(graph_file("3 2\n0 1\n1 1\n"))
         with pytest.raises(DisconnectedError):
             parse_graph_file(graph_file("4 2\n0 1\n2 3\n"))
+
+    def test_too_few_edges_fail_before_building(self, graph_file, monkeypatch):
+        import mixedmetric.cli as cli_mod
+
+        # A billion vertices would need tens of GB of adjacency lists.
+        monkeypatch.setattr(cli_mod, "build_graph", None)
+        with pytest.raises(DisconnectedError, match="0 edges cannot connect"):
+            parse_graph_file(graph_file("1000000000 0\n"))
 
 
 class TestVerbs:
@@ -176,6 +194,40 @@ class TestExitCodes:
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 3
         assert "invariant" in capsys.readouterr().err
 
+    def test_construction_mismatch_is_three_under_optimize(self, graph_file):
+        # -O strips asserts; the construction check must still fire.
+        code = (
+            "import sys, mixedmetric.exact as e, mixedmetric.cli as c\n"
+            "real = e.augment_for_triple\n"
+            "e.augment_for_triple = lambda *a, **k: real(*a, **k) | {-1}\n"
+            "sys.exit(c.run(['generator', sys.argv[1]]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code, graph_file(BOWTIE)],
+                              capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 3
+        assert "invariant" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_bad_numeric_flags_are_one(self, tmp_path, capsys):
+        out = str(tmp_path / "c.jsonl")
+        for flags in (["--count", "-3"], ["--count", "2", "--max-n", "1"],
+                      ["--count", "2", "--density", "1.5"],
+                      ["--count", "2", "--density", "-0.1"],
+                      ["--count", "2", "--density", "nan"]):
+            assert run(["conjecture", "--out", out, *flags]) == 1, flags
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_truncated_campaign_file_is_two(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        argv = ["conjecture", "--count", "2", "--out", str(out)]
+        assert run(argv) == 0
+        out.write_bytes(out.read_bytes()[:-5])
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_absurd_header_is_two(self, graph_file, capsys):
+        assert run(["classify", graph_file("1000000000 0\n")]) == 2
+
 
 class TestDeterminism:
     def test_json_outputs_are_stable(self, graph_file, capsys):
@@ -197,3 +249,19 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total"] == 2
+
+    def test_closed_stdout_is_a_clean_exit(self, tmp_path):
+        # About 0.3 MB of JSON: far more than a pipe buffers, so the
+        # process is still writing when the reader goes away.
+        g = random_cactus(CactusSpec(3000, (3, 8), 3000, 1))
+        target = tmp_path / "huge.txt"
+        target.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mixedmetric", "dim", str(target), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()

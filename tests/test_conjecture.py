@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mixedmetric import (
     CactusSpec,
     CampaignConfig,
+    CampaignFileError,
     GraphClassTag,
     InfeasibleEdgeCountError,
     InvalidSpecError,
@@ -205,3 +206,12 @@ class TestRunCampaign:
         assert summary.count == 6
         for line in out.read_text().splitlines():
             assert json.loads(line)["m"] == 8
+
+    def test_truncated_last_line_is_rejected_untouched(self, tmp_path):
+        out = tmp_path / "cut.jsonl"
+        run_campaign(CampaignConfig(count=3, output_path=str(out), seed=1))
+        cut = out.read_bytes()[:-20]
+        out.write_bytes(cut)
+        with pytest.raises(CampaignFileError, match="line 3"):
+            run_campaign(CampaignConfig(count=5, output_path=str(out), seed=1))
+        assert out.read_bytes() == cut

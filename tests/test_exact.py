@@ -7,6 +7,7 @@ from mixedmetric import (
     CactusSpec,
     CycleExcludedError,
     GraphClassTag,
+    InvariantError,
     NotACactusError,
     bound_report,
     brute_force_mdim,
@@ -117,6 +118,16 @@ class TestBuildMinGenerator:
         flat = list(cert.sa) + [v for p in cert.sb for v in p] + [v for p in cert.sc for v in p]
         assert sorted(flat) == list(cert.vertices)
         assert len(set(flat)) == len(flat)
+
+    def test_construction_mismatch_raises(self, monkeypatch):
+        import mixedmetric.exact as exact_mod
+
+        # A made-up ring position too many for the bowtie's first cycle.
+        real = exact_mod.augment_for_triple
+        monkeypatch.setattr(exact_mod, "augment_for_triple",
+                            lambda *a, **k: real(*a, **k) | {-1})
+        with pytest.raises(InvariantError, match="formula term is 2"):
+            build_min_generator(bowtie())
 
 
 class TestBoundReport:

@@ -1,22 +1,28 @@
 """Definition-level verification and exhaustive search."""
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedmetric import (
+    CactusSpec,
     EmptySetError,
     TooLargeError,
     brute_force_mdim,
+    build_min_generator,
     element_order,
     element_profiles,
     forced_vertices,
     is_mixed_generator,
+    oracle,
+    random_cactus,
     random_connected_graph,
 )
 
 from graphs import bowtie, complete, cycle, path, star, tadpole
+from reference import reference_is_mixed_generator
 
 
 class TestIsMixedGenerator:
@@ -137,3 +143,48 @@ def test_witness_verifies_and_is_minimal_in_search_order(g):
     result = brute_force_mdim(g)
     ok, _ = is_mixed_generator(g, result.witness)
     assert ok and len(result.witness) == result.value
+
+
+# Connected graphs and cacti with n <= 12: a cactus of at most two cycles
+# of length <= 5 and three pendant edges has at most 1 + 2 * 4 + 3 vertices.
+small_cacti = st.builds(
+    lambda cycles, extra, seed: random_cactus(CactusSpec(cycles, (3, 5), extra, seed)),
+    st.integers(1, 2), st.integers(0, 3), st.integers(0, 10**6),
+)
+graphs_up_to_12 = st.one_of(
+    small_cacti,
+    st.builds(lambda n, extra, seed: random_connected_graph(
+        n, min(n - 1 + extra, n * (n - 1) // 2), seed),
+        st.integers(2, 12), st.integers(0, 20), st.integers(0, 10**6)),
+)
+
+
+@pytest.mark.parametrize("width", [1, 3, oracle._CHUNK])
+@given(g=graphs_up_to_12, seed=st.integers(0, 10**6), grow=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_verdict_and_pair_match_the_reference(width, g, seed, grow):
+    # Widths 1 and 3 make every set cross chunk boundaries.  A grown set
+    # is a brute-force witness plus extras, so it always generates; a
+    # random set mostly fails.
+    rng = random.Random(seed)
+    if grow:
+        base = set(brute_force_mdim(g).witness)
+        members = base | set(rng.sample(range(g.n), rng.randint(0, g.n - len(base))))
+    else:
+        members = set(rng.sample(range(g.n), rng.randint(1, g.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK", width)
+        got = is_mixed_generator(g, members)
+    assert got == reference_is_mixed_generator(g, members)
+    if grow:
+        assert got == (True, None)
+
+
+def test_certifies_a_three_hundred_cycle_cactus():
+    g = random_cactus(CactusSpec(300, (3, 8), 300, 1))
+    assert 1500 < g.n < 2000
+    cert = build_min_generator(g)
+    assert cert.verified is True
+    # A minimum generator has no spare member.
+    ok, pair = is_mixed_generator(g, cert.vertices[1:])
+    assert ok is False and pair is not None
