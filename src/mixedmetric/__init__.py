@@ -3,7 +3,7 @@
 The library computes the exact mixed metric dimension of trees, unicyclic
 graphs, and cacti from their block structure, constructs certified minimum
 mixed metric generators, cross-validates everything against a definition-
-level brute-force oracle, and probes the conjectured bound
+level oracle, and probes the conjectured bound
 mdim(G) <= L1(G) + 2 c(G) on random general graphs.
 """
 

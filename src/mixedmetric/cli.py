@@ -70,8 +70,14 @@ def parse_graph_file(path: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     lineno = 0
-    with open(path, encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so the line they sit on is known.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(lineno, "not UTF-8 text") from None
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
@@ -314,7 +320,7 @@ def _build_parser() -> _Parser:
 
     dim = graph_command("dim", "exact dimension via the structural formula", _cmd_dim)
     dim.add_argument("--force-oracle", action="store_true",
-                     help="use the brute-force search (cross-checks the formula on cacti)")
+                     help="use the exact oracle search (cross-checks the formula on cacti)")
     dim.add_argument("--max-n", type=_bounded(int, 2), default=16,
                      help="oracle size cap (default 16)")
 
@@ -324,7 +330,7 @@ def _build_parser() -> _Parser:
     verify.add_argument("--set", required=True, metavar="CSV",
                         help="comma-separated vertex ids, e.g. 0,2,5")
 
-    oracle = graph_command("oracle", "brute-force dimension for any connected graph", _cmd_oracle)
+    oracle = graph_command("oracle", "exact dimension for any connected graph by oracle search", _cmd_oracle)
     oracle.add_argument("--max-n", type=_bounded(int, 2), default=16,
                         help="search size cap (default 16)")
 
@@ -361,7 +367,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # Not all of OSError: a BrokenPipeError must reach main.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _STRUCTURAL_ERRORS as exc:

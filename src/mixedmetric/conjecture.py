@@ -3,7 +3,7 @@
 The bound mdim(G) <= L1(G) + 2 c(G) is a theorem on cacti and conjectured
 for every connected graph other than the bare cycle.  This module grows
 seeded random trees, cacti, and connected graphs, evaluates the bound with
-the formula (cactus inputs) or the brute-force oracle (everything else),
+the formula (cactus inputs) or the exact oracle (everything else),
 and streams the verdicts to an append-only JSONL campaign file.
 """
 
@@ -26,7 +26,7 @@ from .errors import (
 from .exact import mdim_exact
 from .graph import Graph, build_graph, graph_stats
 from .oracle import brute_force_mdim
-from .structure import GraphClassTag, classify
+from .structure import GraphClass, GraphClassTag, classify
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,8 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _mdim_value(g: Graph, max_n: int) -> tuple[int, str]:
-    if classify(g).in_cactus_family:
+def _mdim_value(g: Graph, info: GraphClass, max_n: int) -> tuple[int, str]:
+    if info.in_cactus_family:
         return mdim_exact(g).total, "formula"
     return brute_force_mdim(g, max_n=max_n).value, "oracle"
 
@@ -216,10 +216,11 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     """Check mdim <= l1 + 2 * cyclomatic on one graph.
 
     Cactus-classified inputs use the exact formula, everything else the
-    brute-force oracle (TooLargeError past max_n).
+    oracle's exact search (TooLargeError past max_n).
     """
     stats = graph_stats(g)
-    mdim, source = _mdim_value(g, max_n)
+    info = classify(g)
+    mdim, source = _mdim_value(g, info, max_n)
     bound = stats.l1 + 2 * stats.cyclomatic
     return ConjectureRecord(
         graph_id=_graph_digest(g),
@@ -232,14 +233,14 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
         bound=bound,
         holds=mdim <= bound,
         gap=bound - mdim,
-        excluded=classify(g).tag is GraphClassTag.CYCLE,
+        excluded=info.tag is GraphClassTag.CYCLE,
     )
 
 
 def check_3connected(g: Graph, max_n: int = 16) -> ThreeConnectedReport:
     """Probe the strict bound mdim < 2 * cyclomatic for 3-connected graphs."""
     stats = graph_stats(g)
-    mdim, _ = _mdim_value(g, max_n)
+    mdim, _ = _mdim_value(g, classify(g), max_n)
     return ThreeConnectedReport(
         applicable=stats.is_3_connected,
         strict=mdim < 2 * stats.cyclomatic,
@@ -299,15 +300,16 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
 
 def _read_campaign(path: Path) -> list[ConjectureRecord]:
     records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
                 # A line without its newline was cut short mid-write.
-                if not line.endswith("\n"):
+                if not raw.endswith(b"\n"):
                     raise ValueError("no line end")
-                records.append(ConjectureRecord(**json.loads(line)))
+                # UnicodeDecodeError is a ValueError too.
+                records.append(ConjectureRecord(**json.loads(raw.decode("utf-8"))))
             except (ValueError, TypeError):
                 raise CampaignFileError(
                     f"{path}: line {lineno} is not a complete campaign record"

@@ -8,7 +8,7 @@ graph is connected, so connectedness is enforced at construction time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -68,7 +68,12 @@ class GraphStats:
     l1: int
     cyclomatic: int
     min_degree: int
-    is_3_connected: bool
+    graph: Graph = field(compare=False, repr=False)
+
+    @cached_property
+    def is_3_connected(self) -> bool:
+        """Exhaustive pair-removal probe, run on first read only."""
+        return _is_3_connected(self.graph)
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
@@ -166,7 +171,7 @@ def graph_stats(g: Graph) -> GraphStats:
         l1=len(leaves),
         cyclomatic=g.m - g.n + 1,
         min_degree=min(g.degree(v) for v in range(g.n)),
-        is_3_connected=_is_3_connected(g),
+        graph=g,
     )
 
 

@@ -4,20 +4,31 @@ A vertex set S is a mixed metric generator when every pair of distinct
 elements of V(G) union E(G) is told apart by the distance to some member
 of S.  Verification searches breadth-first from the members of S only, in
 chunks, and compares profiles exactly: O(|S| (n + m)) time and
-O(_CHUNK n) memory, with no all-pairs matrix.  The exact dimension is
-found by exhaustive search over supersets of the forced leaf set.
+O(_CHUNK n) memory, with no all-pairs matrix.
+
+The exact dimension is a minimum hitting set (the set-cover view of
+Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
+pair of elements is resolved by the vertices where their distance rows
+differ, stored as an int bitmask, and a generator is a set that hits every
+mask.  Masks the leaves hit, repeats and supersets are dropped.  For each
+size upward, a depth-first search picks the non-leaf members in id order
+and cuts a branch when some unhit mask has no vertex left in the branch's
+suffix or a greedy packing of disjoint unhit masks needs more members than
+remain.  The witness is therefore the leaves plus the lexicographically
+first non-leaf combination of minimum size, exactly what enumerating
+subsets by size would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
-from .graph import Element, Graph, all_pairs_distances, graph_stats
+from .graph import Element, Graph, all_pairs_distances
 
 # Members searched from at once by is_mixed_generator.  Its temporaries
 # take about 50 bytes per (vertex, member) cell of a chunk, so 64 keeps the
@@ -50,22 +61,23 @@ def element_order(g: Graph) -> tuple[Element, ...]:
     return tuple(range(g.n)) + g.edges
 
 
-def _element_rows(g: Graph) -> list[tuple[int, ...]]:
-    # Row per element: its distance to every vertex of the graph.
+def _element_distances(g: Graph) -> np.ndarray:
+    """Distance from every element, in element_order, to every vertex.
+
+    An (n + m)-by-n array; an edge's row is the smaller of its endpoints' rows.
+    """
     dist = all_pairs_distances(g)
-    rows = [tuple(int(d) for d in dist[v]) for v in range(g.n)]
-    for u, v in g.edges:
-        rows.append(tuple(int(d) for d in np.minimum(dist[u], dist[v])))
-    return rows
+    ends = np.array(g.edges, dtype=np.intp)
+    return np.vstack([dist, np.minimum(dist[ends[:, 0]], dist[ends[:, 1]])])
 
 
 def element_profiles(g: Graph, members: Iterable[int]) -> tuple[Profile, ...]:
     """Profile of every vertex and edge against the given generator set."""
     order = _checked_members(g, members)
-    rows = _element_rows(g)
+    columns = _element_distances(g)[:, list(order)].tolist()
     return tuple(
-        Profile(elem, tuple(row[s] for s in order))
-        for elem, row in zip(element_order(g), rows)
+        Profile(elem, tuple(row))
+        for elem, row in zip(element_order(g), columns)
     )
 
 
@@ -155,34 +167,103 @@ def forced_vertices(g: Graph) -> frozenset[int]:
     A missing leaf leaves its neighbor and its pendant edge at equal
     distance from everything else, so no generator can omit a leaf.
     """
-    return graph_stats(g).leaf_set
+    return frozenset(v for v in range(g.n) if g.degree(v) == 1)
 
 
 def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
-    """Exact mixed metric dimension by subset enumeration.
+    """Exact mixed metric dimension by a pruned minimum hitting-set search.
 
-    Searches supersets of the forced leaf set in increasing cardinality,
-    drawing candidates from non-leaf vertices; the witness is the
-    lexicographically first optimum.  Raises TooLargeError for n > max_n.
+    Each pair of elements is told apart by exactly the vertices where their
+    distance rows differ, so a generator is a vertex set that hits every
+    such constraint.  The leaves are forced; for each size k upward from
+    max(leaves, 1), a depth-first search picks the other k - leaves members
+    from the non-leaf vertices in id order, so its first hit is the
+    lexicographically first optimum that subset enumeration by size would
+    return.  A branch is cut when an unhit constraint has no vertex left in
+    the branch's suffix, or when a greedy packing of disjoint unhit
+    constraints needs more members than the branch has left; neither cut
+    drops a generator, so the search never tests more sets than the
+    enumeration.  Raises TooLargeError for n > max_n.
     """
     if g.n > max_n:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
-    rows = _element_rows(g)
-    forced = tuple(sorted(forced_vertices(g)))
-    candidates = [v for v in range(g.n) if v not in set(forced)]
+    forced = forced_vertices(g)
+    constraints = _constraints(_element_distances(g), sorted(forced))
+    candidates = [v for v in range(g.n) if v not in forced]
     for k in range(max(len(forced), 1), g.n + 1):
-        for extra in combinations(candidates, k - len(forced)):
-            chosen = tuple(sorted(forced + extra))
-            if _profiles_distinct(rows, chosen):
-                return SearchResult(value=k, witness=chosen)
+        extra = _first_hitting_set(candidates, constraints, k - len(forced))
+        if extra is not None:
+            return SearchResult(value=k, witness=tuple(sorted(forced.union(extra))))
     raise InvariantError("unreachable: the full vertex set is always a generator")
 
 
-def _profiles_distinct(rows: Sequence[tuple[int, ...]], members: tuple[int, ...]) -> bool:
-    seen = set()
-    for row in rows:
-        key = tuple(row[s] for s in members)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+# Cells of the (block rows, elements, vertices) comparison _constraints makes at
+# once; it bounds that step's memory to a few MB at any n.
+_PAIR_CELLS = 1 << 22
+
+
+def _constraints(rows: np.ndarray, forced: Sequence[int]) -> list[int]:
+    """Minimal bitmasks of the vertices resolving each pair the forced leaves miss.
+
+    Bit v of a mask is set when vertex v tells the pair's two element rows
+    apart.  Pairs a forced vertex resolves are dropped, and so are repeats
+    and supersets of other masks; the rest come smallest first.
+    """
+    count, n = rows.shape
+    block = max(1, _PAIR_CELLS // (count * n))
+    kept = np.empty((0, -(-n // 8)), dtype=np.uint8)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        differ = rows[start:stop, None, :] != rows[None, :, :]
+        # Each pair once: the second element comes after the first.
+        differ = differ[np.arange(count) > np.arange(start, stop)[:, None]]
+        differ = differ[~differ[:, list(forced)].any(axis=1)]
+        masks = np.concatenate([kept, np.packbits(differ, axis=1, bitorder="little")])
+        masks = masks[np.argsort(np.bitwise_count(masks).sum(axis=1), kind="stable")]
+        minimal = []
+        while len(masks):
+            minimal.append(masks[0])
+            masks = masks[((masks & masks[0]) != masks[0]).any(axis=1)]
+        kept = np.array(minimal, dtype=np.uint8).reshape(-1, kept.shape[1])
+    return [int.from_bytes(mask.tobytes(), "little") for mask in kept]
+
+
+def _first_hitting_set(candidates: Sequence[int], constraints: list[int],
+                       need: int) -> tuple[int, ...] | None:
+    """Lexicographically first `need` candidates hitting every constraint, or None.
+
+    The constraints hold candidate bits only.  At a node whose next pick
+    comes from candidates[pos:], every unhit constraint must keep a vertex
+    there, so the pick may not pass the lowest top bit among them.
+    """
+    def extend(pos: int, need: int, unhit: list[int]) -> tuple[int, ...] | None:
+        if not unhit:
+            # Sizes are tried upward, so no smaller set hits everything and
+            # need is 0 here.
+            return ()
+        if need == 0 or pos + need > len(candidates):
+            return None
+        low = candidates[pos]
+        last = min(c.bit_length() for c in unhit) - 1
+        if last < low:
+            return None
+        # Disjoint constraints, restricted to the suffix, each need their own member.
+        used = packed = 0
+        for c in unhit:
+            part = c >> low
+            if not part & used:
+                used |= part
+                packed += 1
+                if packed > need:
+                    return None
+        for i in range(pos, len(candidates) - need + 1):
+            v = candidates[i]
+            if v > last:
+                break
+            bit = 1 << v
+            found = extend(i + 1, need - 1, [c for c in unhit if not c & bit])
+            if found is not None:
+                return (v,) + found
+        return None
+
+    return extend(0, need, constraints)

@@ -1,26 +1,63 @@
-"""Definition-level reference for mixed metric generator verification.
+"""Definition-level references for the oracle's verifier and exact search.
 
-Builds the full all-pairs distance table and compares every element's
-profile as a tuple.  Quadratic in n, so only for the small graphs the
-tests compare the package's verifier against.
+Both build the full all-pairs distance table and compare every element's
+profile as a tuple: the verifier groups whole profiles, and the exact
+search enumerates vertex subsets by size.  Quadratic in n and exponential
+in the dimension, so only for the small graphs the tests compare the
+package's oracle against.
 """
+
+from itertools import combinations
 
 import numpy as np
 
-from mixedmetric import FailingPair, all_pairs_distances, element_order
+from mixedmetric import FailingPair, SearchResult, all_pairs_distances, element_order
+
+
+def _element_rows(g):
+    # Row per element, in element_order: its distance to every vertex.
+    dist = all_pairs_distances(g)
+    rows = [dist[v] for v in range(g.n)] + [np.minimum(dist[u], dist[v]) for u, v in g.edges]
+    return [tuple(int(d) for d in row) for row in rows]
 
 
 def reference_is_mixed_generator(g, members):
     """Verdict and first failing pair, by grouping whole profile tuples."""
     order = sorted(set(members))
-    dist = all_pairs_distances(g)
-    rows = [dist[v] for v in range(g.n)] + [np.minimum(dist[u], dist[v]) for u, v in g.edges]
     by_profile = {}
-    for idx, row in enumerate(rows):
-        by_profile.setdefault(tuple(int(row[s]) for s in order), []).append(idx)
+    for idx, row in enumerate(_element_rows(g)):
+        by_profile.setdefault(tuple(row[s] for s in order), []).append(idx)
     clashes = [group for group in by_profile.values() if len(group) > 1]
     if not clashes:
         return True, None
     first, second = min((group[0], group[1]) for group in clashes)
     elements = element_order(g)
     return False, FailingPair(elements[first], elements[second])
+
+
+def reference_brute_force_mdim(g):
+    """Dimension and witness by subset enumeration over supersets of the leaves.
+
+    Sizes upward from max(leaves, 1); within a size, the other members are
+    combinations of the non-leaf vertices in lexicographic order, and the
+    first set whose profiles are all distinct is the witness.
+    """
+    rows = _element_rows(g)
+    forced = tuple(v for v in range(g.n) if g.degree(v) == 1)
+    candidates = [v for v in range(g.n) if v not in set(forced)]
+    for k in range(max(len(forced), 1), g.n + 1):
+        for extra in combinations(candidates, k - len(forced)):
+            chosen = tuple(sorted(forced + extra))
+            if _profiles_distinct(rows, chosen):
+                return SearchResult(value=k, witness=chosen)
+    raise AssertionError("the full vertex set is always a generator")
+
+
+def _profiles_distinct(rows, members):
+    seen = set()
+    for row in rows:
+        key = tuple(row[s] for s in members)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True

@@ -228,6 +228,40 @@ class TestExitCodes:
     def test_absurd_header_is_two(self, graph_file, capsys):
         assert run(["classify", graph_file("1000000000 0\n")]) == 2
 
+    def test_non_utf8_graph_file_is_one(self, tmp_path, capsys):
+        target = tmp_path / "g.txt"
+        target.write_bytes(b"# caf\xc3\xa9\n3 2\n0 1\n\xff\xfe1 2\n")
+        assert run(["classify", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4:") and "UTF-8" in err
+        with pytest.raises(ParseError, match="line 4"):
+            parse_graph_file(str(target))
+
+    def test_non_utf8_campaign_file_is_two(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        argv = ["conjecture", "--count", "3", "--out", str(out)]
+        assert run(argv) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(lines[0] + lines[1].replace(b'"', b"\xff", 1) + lines[2])
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_directory_path_is_one(self, tmp_path, capsys):
+        assert run(["classify", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run(["conjecture", "--count", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_files_end_without_traceback(self, tmp_path):
+        target = tmp_path / "g.txt"
+        target.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")
+        for path in (target, tmp_path):
+            proc = subprocess.run([sys.executable, "-m", "mixedmetric", "classify", str(path)],
+                                  capture_output=True, text=True, env=ENV)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestDeterminism:
     def test_json_outputs_are_stable(self, graph_file, capsys):

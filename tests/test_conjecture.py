@@ -130,6 +130,22 @@ class TestEvaluateConjecture:
         with pytest.raises(TooLargeError):
             evaluate_conjecture(complete(6), max_n=5)
 
+    def test_classifies_once_and_skips_the_connectivity_probe(self, monkeypatch):
+        import mixedmetric.conjecture as conj_mod
+        import mixedmetric.graph as graph_mod
+
+        def probe(g):
+            raise RuntimeError("3-connectivity probed")
+
+        calls = []
+        real = conj_mod.classify
+        monkeypatch.setattr(graph_mod, "_is_3_connected", probe)
+        monkeypatch.setattr(conj_mod, "classify", lambda g: calls.append(g) or real(g))
+        rec = evaluate_conjecture(wheel(5))
+        assert rec.mdim_source == "oracle" and len(calls) == 1
+        with pytest.raises(RuntimeError, match="probed"):
+            graph_stats(wheel(5)).is_3_connected
+
     @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_gap_zero_iff_every_cycle_has_one_root(self, cycles, pendants, seed):

@@ -1,5 +1,7 @@
 """Structural formula, generator construction, and bound reports."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,6 +173,18 @@ def test_formula_matches_oracle(g):
     if g.n > 14:
         return
     assert mdim_exact(g).total == brute_force_mdim(g).value
+
+
+def test_formula_matches_oracle_past_sixteen_vertices():
+    # 40 seeded cacti with 17 <= n <= 24, beyond the oracle's default cap.
+    rng = random.Random(24)
+    checked = 0
+    while checked < 40:
+        g = random_cactus(CactusSpec(rng.randint(2, 5), (3, 7), rng.randint(0, 6),
+                                     rng.randrange(10**9)))
+        if 17 <= g.n <= 24:
+            assert mdim_exact(g).total == brute_force_mdim(g, max_n=24).value, g.edges
+            checked += 1
 
 
 @given(random_cacti)

@@ -22,7 +22,7 @@ from mixedmetric import (
 )
 
 from graphs import bowtie, complete, cycle, path, star, tadpole
-from reference import reference_is_mixed_generator
+from reference import reference_brute_force_mdim, reference_is_mixed_generator
 
 
 class TestIsMixedGenerator:
@@ -101,6 +101,14 @@ class TestBruteForce:
         with pytest.raises(TooLargeError):
             brute_force_mdim(path(6), max_n=5)
 
+    def test_more_vertices_than_a_machine_word(self):
+        # Constraint masks are Python ints, so bits past 63 work.
+        assert brute_force_mdim(path(70), max_n=70).witness == (0, 69)
+        g = cycle(70)
+        result = brute_force_mdim(g, max_n=70)
+        assert result.value == 3
+        assert is_mixed_generator(g, result.witness) == (True, None)
+
     @pytest.mark.parametrize("g", [cycle(5), tadpole(), star(3), bowtie()])
     def test_no_smaller_set_works(self, g):
         # Full powerset re-check at value - 1, leaves included or not.
@@ -178,6 +186,28 @@ def test_verdict_and_pair_match_the_reference(width, g, seed, grow):
     assert got == reference_is_mixed_generator(g, members)
     if grow:
         assert got == (True, None)
+
+
+# Connected graphs and cacti with n <= 10: a cactus of at most two cycles
+# of length <= 4 and three pendant edges has at most 1 + 2 * 3 + 3 vertices.
+graphs_up_to_10 = st.one_of(
+    st.builds(lambda cycles, extra, seed: random_cactus(CactusSpec(cycles, (3, 4), extra, seed)),
+              st.integers(1, 2), st.integers(0, 3), st.integers(0, 10**6)),
+    st.builds(lambda n, extra, seed: random_connected_graph(
+        n, min(n - 1 + extra, n * (n - 1) // 2), seed),
+        st.integers(2, 10), st.integers(0, 20), st.integers(0, 10**6)),
+)
+
+
+@pytest.mark.parametrize("cells", [1, oracle._PAIR_CELLS])
+@given(g=graphs_up_to_10)
+@settings(max_examples=60, deadline=None)
+def test_search_matches_the_enumeration(cells, g):
+    # One cell per block builds the constraints a single element row at a time.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_PAIR_CELLS", cells)
+        got = brute_force_mdim(g)
+    assert got == reference_brute_force_mdim(g)
 
 
 def test_certifies_a_three_hundred_cycle_cactus():
