@@ -330,7 +330,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--set", required=True, metavar="CSV",
                         help="comma-separated vertex ids, e.g. 0,2,5")
 
-    oracle = graph_command("oracle", "exact dimension for any connected graph by oracle search", _cmd_oracle)
+    oracle = graph_command("oracle", "exact dimension of any connected graph by search",
+                           _cmd_oracle)
     oracle.add_argument("--max-n", type=_bounded(int, 2), default=16,
                         help="search size cap (default 16)")
 
