@@ -5,7 +5,7 @@ Run from the repository root after `pip install -e .`:
     python3 demos/01_graphs_and_invariants.py
 """
 
-from mixedmetric import all_pairs_distances, build_graph, element_distance, graph_stats
+from mixedmetric import all_pairs_distances, build_graph, graph_stats
 
 # A "bowtie": two triangles sharing vertex 0.
 bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
@@ -20,8 +20,8 @@ print(dist)
 # Distances reach edges too: an edge sits at the distance of its closer
 # endpoint.  That single definition is what "mixed" metric dimension adds
 # over the classic vertex-only notion.
-print("\nd(vertex 1 -> 3):", element_distance(dist, 1, 3))
-print("d(edge (1,2) -> 3):", element_distance(dist, (1, 2), 3))
+print("\nd(vertex 1 -> 3):", dist[1, 3])
+print("d(edge (1,2) -> 3):", min(dist[1, 3], dist[2, 3]))
 
 stats = graph_stats(bowtie)
 print("\nleaves:", sorted(stats.leaf_set), "| l1 =", stats.l1)

@@ -4,13 +4,11 @@
 """
 
 from mixedmetric import (
-    active_marks,
     augment_for_triple,
     build_graph,
     classify,
     extract_cycles,
     has_geodesic_triple,
-    tv_partition,
 )
 
 # An 8-ring with a pendant leaf at each of the ring vertices 0, 1, 2.
@@ -25,21 +23,19 @@ print("class:", info.tag.value, "| cycles:", info.cycle_count)
 print("ring:", cycle.ring)
 print("root positions (degree >= 3):", sorted(cycle.root_positions), "| rt =", cycle.rt)
 
-# Every vertex anchors to the ring position it hangs from once the ring's
-# edges are deleted.
-part = tv_partition(g, cycle)
-print("anchors:", part.anchor)
-
-# The three pendant leaves activate the three clustered root positions.
-marks = active_marks(cycle, part, {8, 9, 10})
-print("positions activated by the leaves:", sorted(marks.positions))
+# Once the ring's edges are deleted, each pendant leaf hangs from its one
+# neighbor on the ring, so the leaves 8, 9, 10 activate the root positions.
+hang = {leaf: cycle.ring.index(g.adjacency[leaf][0]) for leaf in (8, 9, 10)}
+print("ring position each leaf hangs at:", hang)
+marked = frozenset(hang.values())
+print("the root positions exactly?", marked == cycle.root_positions)
 
 # Clustered positions 0, 1, 2 cut the 8-ring into arcs 1, 1, 6: the long
 # arc exceeds half the ring, so no geodesic triple exists yet.
-print("geodesic triple already?", has_geodesic_triple(cycle.length, marks.positions))
+print("geodesic triple already?", has_geodesic_triple(cycle.length, marked))
 
 # One extra ring position fixes that; the smallest choice is position 4,
 # because (0, 2, 4) cuts arcs 2, 2, 4 which all fit within half the ring.
-extra = augment_for_triple(cycle.length, marks.positions)
+extra = augment_for_triple(cycle.length, marked)
 print("smallest completion:", sorted(extra))
-print("after adding it:", has_geodesic_triple(cycle.length, marks.positions | extra))
+print("after adding it:", has_geodesic_triple(cycle.length, marked | extra))

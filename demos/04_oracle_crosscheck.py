@@ -5,9 +5,10 @@
 
 from mixedmetric import (
     CactusSpec,
+    all_pairs_distances,
     brute_force_mdim,
     build_graph,
-    element_profiles,
+    element_order,
     forced_vertices,
     is_mixed_generator,
     mdim_exact,
@@ -20,11 +21,14 @@ p3 = build_graph(3, [(0, 1), (1, 2)])
 ok, pair = is_mixed_generator(p3, {1})
 print("P3 with {1}:", ok, "| first failing pair:", pair)
 
-# Both endpoints do the job; the profile table shows why.
+# Both endpoints do the job; the profile table shows why.  Each row is an
+# element's distances to 0 and 2; an edge sits at its closer endpoint.
 ok, _ = is_mixed_generator(p3, {0, 2})
 print("P3 with {0, 2}:", ok)
-for profile in element_profiles(p3, {0, 2}):
-    print("   ", profile.element, "->", profile.distances)
+dist = all_pairs_distances(p3)
+for element in element_order(p3):
+    ends = [element] if isinstance(element, int) else list(element)
+    print("   ", element, "->", tuple(int(dist[ends, s].min()) for s in (0, 2)))
 
 # Leaves are forced: dropping one leaves its pendant edge and neighbor
 # indistinguishable, so the search only ranges over the non-leaf vertices.

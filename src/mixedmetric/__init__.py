@@ -37,7 +37,6 @@ from .errors import (
     SelfLoopError,
     TooLargeError,
     TooSmallError,
-    UnknownElementError,
     VertexOutOfRangeError,
 )
 from .exact import (
@@ -47,7 +46,6 @@ from .exact import (
     MdimReport,
     bound_report,
     build_min_generator,
-    delta_count,
     mdim_exact,
 )
 from .graph import (
@@ -58,52 +56,41 @@ from .graph import (
     all_pairs_distances,
     build_graph,
     canonical_edge,
-    element_distance,
     graph_stats,
 )
 from .oracle import (
     FailingPair,
-    Profile,
     SearchResult,
     brute_force_mdim,
     element_order,
-    element_profiles,
     forced_vertices,
     is_mixed_generator,
 )
 from .structure import (
-    ActiveMark,
     CycleInfo,
     GraphClass,
     GraphClassTag,
-    TvPartition,
-    active_marks,
     augment_for_triple,
     biconnected_blocks,
     classify,
     extract_cycles,
     has_geodesic_triple,
-    tv_partition,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveMark", "BoundReport", "CactusSpec", "CampaignConfig", "CampaignFileError",
-    "CampaignSummary",
+    "BoundReport", "CactusSpec", "CampaignConfig", "CampaignFileError", "CampaignSummary",
     "ConjectureRecord", "CycleExcludedError", "CycleInfo", "CycleTerm",
     "DisconnectedError", "DuplicateEdgeError", "Edge", "Element", "EmptySetError",
     "FailingPair", "GeneratorCertificate", "Graph", "GraphBuildError", "GraphClass",
     "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InfeasibleError",
     "InvalidSpecError", "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError",
-    "ParseError", "Profile", "SearchResult", "SelfLoopError", "ThreeConnectedReport",
-    "TooLargeError", "TooSmallError", "TvPartition", "UnknownElementError",
-    "VertexOutOfRangeError", "active_marks", "all_pairs_distances",
+    "ParseError", "SearchResult", "SelfLoopError", "ThreeConnectedReport",
+    "TooLargeError", "TooSmallError", "VertexOutOfRangeError", "all_pairs_distances",
     "augment_for_triple", "biconnected_blocks", "bound_report", "brute_force_mdim",
     "build_graph", "build_min_generator", "canonical_edge", "check_3connected",
-    "classify", "delta_count", "element_distance", "element_order",
-    "element_profiles", "evaluate_conjecture", "extract_cycles", "forced_vertices",
+    "classify", "element_order", "evaluate_conjecture", "extract_cycles", "forced_vertices",
     "graph_stats", "has_geodesic_triple", "is_mixed_generator", "mdim_exact",
     "random_cactus", "random_connected_graph", "random_tree", "run_campaign",
-    "tv_partition",
 ]

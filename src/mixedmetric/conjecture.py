@@ -23,10 +23,10 @@ from .errors import (
     InvariantError,
     TooSmallError,
 )
-from .exact import mdim_exact
-from .graph import Graph, build_graph, graph_stats
+from .exact import formula_report
+from .graph import Graph, build_graph
 from .oracle import brute_force_mdim
-from .structure import GraphClass, GraphClassTag, classify
+from .structure import Decomposition, GraphClassTag, classify, decompose
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,10 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _mdim_value(g: Graph, info: GraphClass, max_n: int) -> tuple[int, str]:
-    if info.in_cactus_family:
-        return mdim_exact(g).total, "formula"
-    return brute_force_mdim(g, max_n=max_n).value, "oracle"
+def _mdim_value(d: Decomposition, max_n: int) -> tuple[int, str]:
+    if d.graph_class.in_cactus_family:
+        return formula_report(d).total, "formula"
+    return brute_force_mdim(d.graph, max_n=max_n).value, "oracle"
 
 
 def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
@@ -218,9 +218,9 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     Cactus-classified inputs use the exact formula, everything else the
     oracle's exact search (TooLargeError past max_n).
     """
-    stats = graph_stats(g)
-    info = classify(g)
-    mdim, source = _mdim_value(g, info, max_n)
+    d = decompose(g)
+    stats = d.stats
+    mdim, source = _mdim_value(d, max_n)
     bound = stats.l1 + 2 * stats.cyclomatic
     return ConjectureRecord(
         graph_id=_graph_digest(g),
@@ -233,14 +233,15 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
         bound=bound,
         holds=mdim <= bound,
         gap=bound - mdim,
-        excluded=info.tag is GraphClassTag.CYCLE,
+        excluded=d.graph_class.tag is GraphClassTag.CYCLE,
     )
 
 
 def check_3connected(g: Graph, max_n: int = 16) -> ThreeConnectedReport:
     """Probe the strict bound mdim < 2 * cyclomatic for 3-connected graphs."""
-    stats = graph_stats(g)
-    mdim, _ = _mdim_value(g, classify(g), max_n)
+    d = decompose(g)
+    stats = d.stats
+    mdim, _ = _mdim_value(d, max_n)
     return ThreeConnectedReport(
         applicable=stats.is_3_connected,
         strict=mdim < 2 * stats.cyclomatic,
@@ -278,10 +279,12 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     same byte stream, and a partially written file resumes where the seed
     sequence left off.  The summary aggregates every record in the file.
     A line that is not a complete record, such as a last line cut short,
-    raises CampaignFileError before anything is appended.
+    or a record of a graph this config does not generate at that index,
+    such as one written under another seed, raises CampaignFileError
+    before anything is appended.
     """
     path = Path(config.output_path)
-    records = _read_campaign(path) if path.exists() else []
+    records = _read_campaign(path, config) if path.exists() else []
     with path.open("a", encoding="utf-8") as fh:
         for index in range(len(records), config.count):
             record = evaluate_conjecture(_campaign_graph(config, index), config.max_n)
@@ -298,7 +301,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     )
 
 
-def _read_campaign(path: Path) -> list[ConjectureRecord]:
+def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]:
     records = []
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -309,9 +312,15 @@ def _read_campaign(path: Path) -> list[ConjectureRecord]:
                 if not raw.endswith(b"\n"):
                     raise ValueError("no line end")
                 # UnicodeDecodeError is a ValueError too.
-                records.append(ConjectureRecord(**json.loads(raw.decode("utf-8"))))
+                record = ConjectureRecord(**json.loads(raw.decode("utf-8")))
             except (ValueError, TypeError):
                 raise CampaignFileError(
                     f"{path}: line {lineno} is not a complete campaign record"
                 ) from None
+            if record.graph_id != _graph_digest(_campaign_graph(config, len(records))):
+                raise CampaignFileError(
+                    f"{path}: line {lineno} holds a graph this config does not generate "
+                    "there (another seed, n range or strategy?)"
+                )
+            records.append(record)
     return records

@@ -29,10 +29,6 @@ class DisconnectedError(GraphBuildError):
     """The edge list does not describe a connected graph."""
 
 
-class UnknownElementError(MixedMetricError, ValueError):
-    """An element is neither a vertex id nor an edge of the graph."""
-
-
 class NotACactusError(MixedMetricError):
     """The graph has a block that is neither an edge nor a cycle."""
 

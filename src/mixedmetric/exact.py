@@ -7,8 +7,10 @@ admit no triple costs one extra vertex.  The total is
 
     leaf count  +  sum over cycles of max(3 - rt, 0)  +  delta,
 
-where delta counts the cycles needing the extra vertex.  The same
-decomposition drives the construction of a certified minimum generator.
+where delta counts the cycles needing the extra vertex.  Each public
+function decomposes its graph once (structure.decompose).  formula_report
+computes the terms and delta from that decomposition, and the construction
+of a certified minimum generator follows the same report.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CycleExcludedError, InvariantError, NotACactusError
-from .graph import Graph, graph_stats
+from .graph import Graph
 from .oracle import is_mixed_generator
 from .structure import (
     CycleInfo,
+    Decomposition,
     GraphClassTag,
     augment_for_triple,
-    classify,
-    extract_cycles,
+    decompose,
     has_geodesic_triple,
 )
 
@@ -80,30 +82,23 @@ def _cycle_terms(cycles: Iterable[CycleInfo]) -> tuple[CycleTerm, ...]:
     return tuple(terms)
 
 
+def formula_report(d: Decomposition) -> MdimReport:
+    """The exact formula on an already decomposed graph; see mdim_exact."""
+    if not d.graph_class.in_cactus_family:
+        raise NotACactusError("exact formula applies to cacti only")
+    l1 = d.stats.l1
+    terms = _cycle_terms(d.cycles)
+    delta = sum(t.needs_delta for t in terms)
+    total = l1 + sum(t.max_term for t in terms) + delta
+    return MdimReport(l1=l1, per_cycle=terms, delta=delta, total=total)
+
+
 def mdim_exact(g: Graph) -> MdimReport:
     """Exact mixed metric dimension of a tree, unicyclic graph, or cactus.
 
     Raises NotACactusError otherwise; general graphs need the oracle.
     """
-    info = classify(g)
-    if not info.in_cactus_family:
-        raise NotACactusError("exact formula applies to cacti only")
-    stats = graph_stats(g)
-    terms = _cycle_terms(extract_cycles(g))
-    delta = sum(t.needs_delta for t in terms)
-    total = stats.l1 + sum(t.max_term for t in terms) + delta
-    return MdimReport(l1=stats.l1, per_cycle=terms, delta=delta, total=total)
-
-
-def delta_count(g: Graph, cycles: Iterable[CycleInfo]) -> int:
-    """Number of cycles with rt >= 3 whose roots admit no geodesic triple."""
-    count = 0
-    for c in cycles:
-        if not all(0 <= v < g.n for v in c.ring):
-            raise InvariantError(f"cycle ring {c.ring} leaves the graph's vertices [0, {g.n})")
-        if c.rt >= 3 and not has_geodesic_triple(c.length, c.root_positions):
-            count += 1
-    return count
+    return formula_report(decompose(g))
 
 
 def build_min_generator(g: Graph) -> GeneratorCertificate:
@@ -116,14 +111,13 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
     (lexicographically smallest ring positions), and the result is checked
     against the definition-level oracle.
     """
-    report = mdim_exact(g)
-    stats = graph_stats(g)
-    cycles = extract_cycles(g)
+    d = decompose(g)
+    report = formula_report(d)
 
-    sa = tuple(sorted(stats.leaf_set))
+    sa = tuple(sorted(d.stats.leaf_set))
     sb: list[tuple[int, ...]] = []
     sc: list[tuple[int, ...]] = []
-    for term, cycle in zip(report.per_cycle, cycles):
+    for term, cycle in zip(report.per_cycle, d.cycles):
         if term.max_term > 0:
             added = augment_for_triple(cycle.length, cycle.root_positions,
                                        forbidden=cycle.root_positions)
@@ -164,14 +158,13 @@ def bound_report(g: Graph) -> BoundReport:
     Equality holds exactly when every cycle has exactly one root vertex;
     for a tree the bound equals the dimension outright.
     """
-    info = classify(g)
+    d = decompose(g)
+    info = d.graph_class
     if not info.in_cactus_family:
         raise NotACactusError("bound statement applies to cacti only")
     if info.tag is GraphClassTag.CYCLE:
         raise CycleExcludedError("the bound excludes the bare cycle C_n")
-    stats = graph_stats(g)
-    cycles = extract_cycles(g)
     return BoundReport(
-        bound=stats.l1 + 2 * info.cycle_count,
-        attained=all(c.rt == 1 for c in cycles),
+        bound=d.stats.l1 + 2 * info.cycle_count,
+        attained=all(c.rt == 1 for c in d.cycles),
     )

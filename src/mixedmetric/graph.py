@@ -20,7 +20,6 @@ from .errors import (
     DuplicateEdgeError,
     SelfLoopError,
     TooSmallError,
-    UnknownElementError,
     VertexOutOfRangeError,
 )
 
@@ -140,27 +139,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
                     queue.append(w)
     dist.setflags(write=False)
     return dist
-
-
-def element_distance(dist: np.ndarray, element: Element, source: int) -> int:
-    """Distance from a vertex or edge to a source vertex.
-
-    For an edge the distance is the smaller of its two endpoint distances.
-    """
-    n = dist.shape[0]
-    if not 0 <= source < n:
-        raise UnknownElementError(f"source vertex {source} outside [0, {n})")
-    if isinstance(element, (int, np.integer)):
-        if not 0 <= element < n:
-            raise UnknownElementError(f"vertex {element} outside [0, {n})")
-        return int(dist[element, source])
-    try:
-        u, v = element
-    except (TypeError, ValueError):
-        raise UnknownElementError(f"not a vertex or edge: {element!r}") from None
-    if not (0 <= u < n and 0 <= v < n) or u == v:
-        raise UnknownElementError(f"not an edge of this graph: {element!r}")
-    return int(min(dist[u, source], dist[v, source]))
 
 
 def graph_stats(g: Graph) -> GraphStats:

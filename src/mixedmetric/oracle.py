@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
-from .graph import Element, Graph, all_pairs_distances
+from .graph import Element, Graph, all_pairs_distances, graph_stats
 
 # Members searched from at once by is_mixed_generator.  Its temporaries
 # take about 50 bytes per (vertex, member) cell of a chunk, so 64 keeps the
@@ -41,13 +41,6 @@ class FailingPair(NamedTuple):
 
     x: Element
     y: Element
-
-
-class Profile(NamedTuple):
-    """Distances from one element to every generator vertex, in set order."""
-
-    element: Element
-    distances: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -69,16 +62,6 @@ def _element_distances(g: Graph) -> np.ndarray:
     dist = all_pairs_distances(g)
     ends = np.array(g.edges, dtype=np.intp)
     return np.vstack([dist, np.minimum(dist[ends[:, 0]], dist[ends[:, 1]])])
-
-
-def element_profiles(g: Graph, members: Iterable[int]) -> tuple[Profile, ...]:
-    """Profile of every vertex and edge against the given generator set."""
-    order = _checked_members(g, members)
-    columns = _element_distances(g)[:, list(order)].tolist()
-    return tuple(
-        Profile(elem, tuple(row))
-        for elem, row in zip(element_order(g), columns)
-    )
 
 
 def _checked_members(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
@@ -167,7 +150,7 @@ def forced_vertices(g: Graph) -> frozenset[int]:
     A missing leaf leaves its neighbor and its pendant edge at equal
     distance from everything else, so no generator can omit a leaf.
     """
-    return frozenset(v for v in range(g.n) if g.degree(v) == 1)
+    return graph_stats(g).leaf_set
 
 
 def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:

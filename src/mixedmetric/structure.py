@@ -1,25 +1,26 @@
 """Cactus recognition and per-cycle combinatorial structure.
 
 A cactus is a connected graph whose blocks are single edges or cycles.
-This module finds the blocks, orients each cycle into a deterministic
-ring, partitions the graph into the ring-anchored components obtained by
-deleting the cycle's edges, and decides geodesic-triple questions on the
-ring.  Three ring positions form a geodesic triple exactly when the three
-arcs they cut have length at most floor(L/2) each, which is equivalent to
-their pairwise ring distances summing to the full ring length L.
+decompose finds the blocks once and keeps what every consumer reads: the
+structural class, the leaf statistics and the cycles, each cycle oriented
+into a deterministic ring with its root positions marked.  The module also
+decides geodesic-triple questions on a ring.  Three ring positions form a
+geodesic triple exactly when the three arcs they cut have length at most
+floor(L/2) each, which is equivalent to their pairwise ring distances
+summing to the full ring length L.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InfeasibleError, InvariantError, NotACactusError, VertexOutOfRangeError
-from .graph import Edge, Graph, canonical_edge
+from .errors import InfeasibleError, NotACactusError
+from .graph import Edge, Graph, GraphStats, canonical_edge, graph_stats
 
 
 class GraphClassTag(enum.Enum):
@@ -70,25 +71,6 @@ class CycleInfo:
     def rt(self) -> int:
         return len(self.root_positions)
 
-    def ring_edges(self) -> frozenset[Edge]:
-        L = len(self.ring)
-        return frozenset(canonical_edge(self.ring[i], self.ring[(i + 1) % L]) for i in range(L))
-
-
-@dataclass(frozen=True)
-class TvPartition:
-    """anchor[v] = ring position whose component of G - E(C) contains v."""
-
-    anchor: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ActiveMark:
-    """Ring positions whose hanging component meets a chosen vertex set."""
-
-    positions: frozenset[int]
-    count: int
-
 
 def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
     """Blocks (maximal biconnected subgraphs) as an edge partition."""
@@ -137,22 +119,68 @@ def _block_is_cycle(block: frozenset[Edge]) -> bool:
     return len(block) >= 2 and len(block) == len(vertices)
 
 
-def classify(g: Graph) -> GraphClass:
-    """Most specific tag among Tree/Cycle/Unicyclic/Cactus/General."""
-    blocks = biconnected_blocks(g)
-    fat = [b for b in blocks if len(b) >= 2]
-    cycle_blocks = [b for b in fat if _block_is_cycle(b)]
-    if len(cycle_blocks) != len(fat):
-        return GraphClass(GraphClassTag.GENERAL, len(cycle_blocks))
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Block structure of a connected graph, from one biconnected_blocks pass.
+
+    The class tag is fixed at construction.  The leaf statistics and the
+    cycle rings are built on first read, so a caller that only classifies
+    pays for neither.
+    """
+
+    graph_class: GraphClass
+    graph: Graph = field(repr=False)
+    cycle_blocks: tuple[frozenset[Edge], ...] = field(repr=False)
+
+    @cached_property
+    def stats(self) -> GraphStats:
+        """Leaf set, leaf count and cyclomatic number of the graph."""
+        return graph_stats(self.graph)
+
+    @cached_property
+    def cycles(self) -> tuple[CycleInfo, ...]:
+        """All cycles as deterministic rings, sorted by ring tuple; () for a tree.
+
+        Raises NotACactusError when some block is neither an edge nor a cycle.
+        """
+        if not self.graph_class.in_cactus_family:
+            raise NotACactusError("graph has a block that is not an edge or a cycle")
+        cycles = []
+        for block in self.cycle_blocks:
+            local: dict[int, list[int]] = {}
+            for u, v in block:
+                local.setdefault(u, []).append(v)
+                local.setdefault(v, []).append(u)
+            start = min(local)
+            ring = [start, min(local[start])]
+            while len(ring) < len(local):
+                a, b = local[ring[-1]]
+                ring.append(a if b == ring[-2] else b)
+            roots = frozenset(i for i, v in enumerate(ring) if self.graph.degree(v) >= 3)
+            cycles.append(CycleInfo(ring=tuple(ring), root_positions=roots))
+        return tuple(sorted(cycles, key=lambda c: c.ring))
+
+
+def decompose(g: Graph) -> Decomposition:
+    """Find the blocks of g once and tag its class; stats and cycles follow on first read."""
+    fat = [b for b in biconnected_blocks(g) if len(b) >= 2]
+    cycle_blocks = tuple(b for b in fat if _block_is_cycle(b))
     c = len(cycle_blocks)
-    if c == 0:
+    if c != len(fat):
+        tag = GraphClassTag.GENERAL
+    elif c == 0:
         tag = GraphClassTag.TREE
     elif c == 1:
         is_pure_ring = g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
         tag = GraphClassTag.CYCLE if is_pure_ring else GraphClassTag.UNICYCLIC
     else:
         tag = GraphClassTag.CACTUS
-    return GraphClass(tag, c)
+    return Decomposition(graph_class=GraphClass(tag, c), graph=g, cycle_blocks=cycle_blocks)
+
+
+def classify(g: Graph) -> GraphClass:
+    """Most specific tag among Tree/Cycle/Unicyclic/Cactus/General."""
+    return decompose(g).graph_class
 
 
 def extract_cycles(g: Graph) -> tuple[CycleInfo, ...]:
@@ -161,59 +189,7 @@ def extract_cycles(g: Graph) -> tuple[CycleInfo, ...]:
     Raises NotACactusError when some block is neither an edge nor a cycle.
     Returns () for a tree.
     """
-    info = classify(g)
-    if not info.in_cactus_family:
-        raise NotACactusError("graph has a block that is not an edge or a cycle")
-    cycles = []
-    for block in biconnected_blocks(g):
-        if len(block) < 2:
-            continue
-        local: dict[int, list[int]] = {}
-        for u, v in block:
-            local.setdefault(u, []).append(v)
-            local.setdefault(v, []).append(u)
-        start = min(local)
-        ring = [start, min(local[start])]
-        while len(ring) < len(local):
-            a, b = local[ring[-1]]
-            ring.append(a if b == ring[-2] else b)
-        roots = frozenset(i for i, v in enumerate(ring) if g.degree(v) >= 3)
-        cycles.append(CycleInfo(ring=tuple(ring), root_positions=roots))
-    return tuple(sorted(cycles, key=lambda c: c.ring))
-
-
-def tv_partition(g: Graph, cycle: CycleInfo) -> TvPartition:
-    """Anchor every vertex to the ring position it hangs from.
-
-    Deleting the cycle's edges from a cactus splits it into one component
-    per ring vertex; anchor maps each vertex to its component's position.
-    """
-    skip = cycle.ring_edges()
-    anchor = [-1] * g.n
-    queue: deque[int] = deque()
-    for pos, v in enumerate(cycle.ring):
-        anchor[v] = pos
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if anchor[w] < 0 and canonical_edge(v, w) not in skip:
-                anchor[w] = anchor[v]
-                queue.append(w)
-    if min(anchor) < 0:
-        raise InvariantError("cycle does not belong to this connected graph")
-    return TvPartition(anchor=tuple(anchor))
-
-
-def active_marks(cycle: CycleInfo, partition: TvPartition, members: Iterable[int]) -> ActiveMark:
-    """Ring positions activated by a vertex set through the partition."""
-    n = len(partition.anchor)
-    positions = set()
-    for s in members:
-        if not 0 <= s < n:
-            raise VertexOutOfRangeError(f"vertex {s} outside [0, {n})")
-        positions.add(partition.anchor[s])
-    return ActiveMark(positions=frozenset(positions), count=len(positions))
+    return decompose(g).cycles
 
 
 def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:

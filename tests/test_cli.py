@@ -108,6 +108,16 @@ class TestVerbs:
         assert payload["total"] == 4 and payload["formula"] == 4
         assert payload["source"] == "oracle"
 
+    def test_dim_force_oracle_finds_the_blocks_once(self, graph_file, capsys, monkeypatch):
+        import mixedmetric.structure as structure_mod
+
+        calls = []
+        real = structure_mod.biconnected_blocks
+        monkeypatch.setattr(structure_mod, "biconnected_blocks",
+                            lambda g: calls.append(g) or real(g))
+        assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 0
+        assert len(calls) == 1
+
     def test_generator_json(self, graph_file, capsys):
         assert run(["generator", graph_file(BOWTIE), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -224,6 +234,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(argv) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_resume_under_another_seed_is_two(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        assert run(["conjecture", "--count", "3", "--seed", "5", "--out", str(out)]) == 0
+        written = out.read_bytes()
+        capsys.readouterr()
+        assert run(["conjecture", "--count", "5", "--seed", "6", "--out", str(out)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert out.read_bytes() == written
 
     def test_absurd_header_is_two(self, graph_file, capsys):
         assert run(["classify", graph_file("1000000000 0\n")]) == 2

@@ -138,9 +138,9 @@ class TestEvaluateConjecture:
             raise RuntimeError("3-connectivity probed")
 
         calls = []
-        real = conj_mod.classify
+        real = conj_mod.decompose
         monkeypatch.setattr(graph_mod, "_is_3_connected", probe)
-        monkeypatch.setattr(conj_mod, "classify", lambda g: calls.append(g) or real(g))
+        monkeypatch.setattr(conj_mod, "decompose", lambda g: calls.append(g) or real(g))
         rec = evaluate_conjecture(wheel(5))
         assert rec.mdim_source == "oracle" and len(calls) == 1
         with pytest.raises(RuntimeError, match="probed"):
@@ -201,6 +201,17 @@ class TestRunCampaign:
         run_campaign(CampaignConfig(count=7, output_path=str(split), seed=5))
         run_campaign(CampaignConfig(count=12, output_path=str(split), seed=5))
         assert whole.read_bytes() == split.read_bytes()
+
+    def test_resume_under_another_config_is_rejected_untouched(self, tmp_path):
+        out = tmp_path / "mixed.jsonl"
+        run_campaign(CampaignConfig(count=7, output_path=str(out), seed=5))
+        written = out.read_bytes()
+        for other in (CampaignConfig(count=12, output_path=str(out), seed=6),
+                      CampaignConfig(count=12, output_path=str(out), seed=5,
+                                     m_strategy="cactus")):
+            with pytest.raises(CampaignFileError, match="line 1"):
+                run_campaign(other)
+            assert out.read_bytes() == written
 
     def test_records_carry_the_documented_fields(self, tmp_path):
         out = tmp_path / "fields.jsonl"

@@ -16,7 +16,6 @@ from mixedmetric import (
     build_graph,
     build_min_generator,
     classify,
-    delta_count,
     extract_cycles,
     graph_stats,
     mdim_exact,
@@ -79,16 +78,13 @@ class TestMdimExact:
 
 class TestDeltaCount:
     def test_clustered_roots(self):
-        g = cycle_with_pendants(8, [0, 1, 2])
-        assert delta_count(g, extract_cycles(g)) == 1
+        assert mdim_exact(cycle_with_pendants(8, [0, 1, 2])).delta == 1
 
     def test_spread_roots(self):
-        g = cycle_with_pendants(8, [0, 3, 6])
-        assert delta_count(g, extract_cycles(g)) == 0
+        assert mdim_exact(cycle_with_pendants(8, [0, 3, 6])).delta == 0
 
     def test_too_few_roots_never_count(self):
-        g = bowtie()
-        assert delta_count(g, extract_cycles(g)) == 0
+        assert mdim_exact(bowtie()).delta == 0
 
 
 class TestBuildMinGenerator:

@@ -1,4 +1,4 @@
-"""Cactus recognition, rings, hanging components, and geodesic triples."""
+"""Cactus recognition, the block decomposition, rings, and geodesic triples."""
 
 from collections import deque
 from itertools import combinations
@@ -12,18 +12,22 @@ from mixedmetric import (
     GraphClassTag,
     InfeasibleError,
     NotACactusError,
-    active_marks,
     all_pairs_distances,
     augment_for_triple,
     biconnected_blocks,
+    bound_report,
     build_graph,
+    build_min_generator,
     canonical_edge,
+    check_3connected,
     classify,
+    evaluate_conjecture,
     extract_cycles,
     has_geodesic_triple,
+    mdim_exact,
     random_cactus,
     random_connected_graph,
-    tv_partition,
+    structure,
 )
 
 from graphs import bowtie, complete, cycle, path, tadpole
@@ -158,67 +162,30 @@ class TestExtractCycles:
             for i in range(c.length):
                 assert g.has_edge(c.ring[i], c.ring[(i + 1) % c.length])
 
-
-class TestTvPartition:
-    def test_tadpole_tail_anchors_to_attachment(self):
-        g = tadpole()
-        (c,) = extract_cycles(g)
-        part = tv_partition(g, c)
-        assert part.anchor[4] == part.anchor[5] == c.ring.index(0)
-
-    def test_pure_ring_is_identity(self):
-        g = cycle(5)
-        (c,) = extract_cycles(g)
-        assert tv_partition(g, c).anchor == (0, 1, 2, 3, 4)
-
-    def test_bowtie_other_triangle_anchors_to_shared_vertex(self):
-        g = bowtie()
-        a, _ = extract_cycles(g)  # a is the triangle (0, 1, 2)
-        part = tv_partition(g, a)
-        shared = a.ring.index(0)
-        assert part.anchor[3] == part.anchor[4] == shared
-
-    @given(random_cacti)
-    @settings(max_examples=40, deadline=None)
-    def test_preimages_are_the_deleted_edge_components(self, g):
-        for c in extract_cycles(g):
-            part = tv_partition(g, c)
-            comp = components_without_ring_edges(g, c.ring)
-            for v in range(g.n):
-                # Same anchor exactly when same component as that ring vertex.
-                assert comp[v] == comp[c.ring[part.anchor[v]]]
-
     @given(random_cacti)
     @settings(max_examples=40, deadline=None)
     def test_root_positions_have_nontrivial_components(self, g):
         # Degree >= 3 on the ring must coincide with a nontrivial hanging part.
         for c in extract_cycles(g):
-            part = tv_partition(g, c)
-            sizes = [0] * c.length
-            for v in range(g.n):
-                sizes[part.anchor[v]] += 1
-            for pos in range(c.length):
-                assert (pos in c.root_positions) == (sizes[pos] >= 2)
+            comp = components_without_ring_edges(g, c.ring)
+            for pos, v in enumerate(c.ring):
+                assert (pos in c.root_positions) == (comp.count(comp[v]) >= 2)
 
 
-class TestActiveMarks:
-    def test_ring_vertex_marks_itself(self):
-        g = cycle(5)
-        (c,) = extract_cycles(g)
-        marks = active_marks(c, tv_partition(g, c), {2})
-        assert marks.positions == {2} and marks.count == 1
-
-    def test_pendant_leaf_marks_attachment(self):
-        g = tadpole()
-        (c,) = extract_cycles(g)
-        marks = active_marks(c, tv_partition(g, c), {5})
-        assert marks.positions == {c.ring.index(0)}
-
-    def test_far_triangle_marks_shared_vertex(self):
-        g = bowtie()
-        a, _ = extract_cycles(g)
-        marks = active_marks(a, tv_partition(g, a), {3, 4})
-        assert marks.positions == {a.ring.index(0)} and marks.count == 1
+@pytest.mark.parametrize("call, graph", [
+    (classify, "cactus"), (classify, "general"), (extract_cycles, "cactus"),
+    (mdim_exact, "cactus"), (bound_report, "cactus"), (build_min_generator, "cactus"),
+    (evaluate_conjecture, "cactus"), (evaluate_conjecture, "general"),
+    (check_3connected, "general"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_each_public_call_finds_the_blocks_once(monkeypatch, call, graph):
+    g = {"cactus": random_cactus(CactusSpec(3, (3, 6), 3, seed=7)),
+         "general": complete(5)}[graph]
+    calls = []
+    real = structure.biconnected_blocks
+    monkeypatch.setattr(structure, "biconnected_blocks", lambda g: calls.append(g) or real(g))
+    call(g)
+    assert len(calls) == 1
 
 
 class TestGeodesicTriple:
