@@ -53,18 +53,9 @@ from .graph import (
     Element,
     Graph,
     GraphStats,
-    all_pairs_distances,
     build_graph,
     canonical_edge,
     graph_stats,
-)
-from .oracle import (
-    FailingPair,
-    SearchResult,
-    brute_force_mdim,
-    element_order,
-    forced_vertices,
-    is_mixed_generator,
 )
 from .structure import (
     CycleInfo,
@@ -87,10 +78,30 @@ __all__ = [
     "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InfeasibleError",
     "InvalidSpecError", "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError",
     "ParseError", "SearchResult", "SelfLoopError", "ThreeConnectedReport",
-    "TooLargeError", "TooSmallError", "VertexOutOfRangeError", "all_pairs_distances",
-    "augment_for_triple", "biconnected_blocks", "bound_report", "brute_force_mdim",
-    "build_graph", "build_min_generator", "canonical_edge", "check_3connected",
-    "classify", "element_order", "evaluate_conjecture", "extract_cycles", "forced_vertices",
+    "TooLargeError", "TooSmallError", "VertexOutOfRangeError", "augment_for_triple",
+    "biconnected_blocks", "bound_report", "brute_force_mdim", "build_graph",
+    "build_min_generator", "canonical_edge", "check_3connected", "classify",
+    "element_order", "evaluate_conjecture", "extract_cycles", "forced_vertices",
     "graph_stats", "has_geodesic_triple", "is_mixed_generator", "mdim_exact",
     "random_cactus", "random_connected_graph", "random_tree", "run_campaign",
 ]
+
+# The oracle is the one module that imports numpy, which costs most of the
+# package's import time, and the formula path never runs it: its names load
+# on first use (PEP 562), and the modules that call it import it inside
+# those calls.
+_ORACLE_NAMES = frozenset({
+    "FailingPair", "SearchResult", "brute_force_mdim", "element_order",
+    "forced_vertices", "is_mixed_generator",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)

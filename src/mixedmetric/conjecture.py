@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exact import formula_report
 from .graph import Graph, build_graph
-from .oracle import brute_force_mdim
 from .structure import Decomposition, GraphClassTag, classify, decompose
 
 
@@ -209,6 +208,8 @@ def _graph_digest(g: Graph) -> str:
 def _mdim_value(d: Decomposition, max_n: int) -> tuple[int, str]:
     if d.graph_class.in_cactus_family:
         return formula_report(d).total, "formula"
+    from .oracle import brute_force_mdim
+
     return brute_force_mdim(d.graph, max_n=max_n).value, "oracle"
 
 

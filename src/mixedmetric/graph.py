@@ -1,8 +1,10 @@
-"""Immutable simple graphs, breadth-first distances, and scalar invariants.
+"""Immutable simple graphs and their scalar invariants, in pure Python.
 
 Vertices are the integers 0..n-1 and edges are stored canonically as
 (min, max) pairs.  Every analysis entry point in the package assumes the
 graph is connected, so connectedness is enforced at construction time.
+Distances live in the oracle (oracle._bfs_distances); this module only
+asks which vertices a search reaches, and imports no numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DisconnectedError,
@@ -121,24 +121,6 @@ def _bfs_reachable(neighbors: Sequence[Sequence[int]], start: int, n: int,
                 seen.add(w)
                 queue.append(w)
     return seen
-
-
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Hop-count distance matrix, one BFS per source; read-only n-by-n array."""
-    dist = np.full((g.n, g.n), -1, dtype=np.int64)
-    for source in range(g.n):
-        row = dist[source]
-        row[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            d = row[v] + 1
-            for w in g.adjacency[v]:
-                if row[w] < 0:
-                    row[w] = d
-                    queue.append(w)
-    dist.setflags(write=False)
-    return dist
 
 
 def graph_stats(g: Graph) -> GraphStats:

@@ -4,7 +4,9 @@ A vertex set S is a mixed metric generator when every pair of distinct
 elements of V(G) union E(G) is told apart by the distance to some member
 of S.  Verification searches breadth-first from the members of S only, in
 chunks, and compares profiles exactly: O(|S| (n + m)) time and
-O(_CHUNK n) memory, with no all-pairs matrix.
+O(_CHUNK n) memory, with no all-pairs matrix.  That chunked numpy BFS
+(_bfs_distances) is the package's one distance routine, and this is the
+one module that imports numpy: the formula path never loads it.
 
 The exact dimension is a minimum hitting set (the set-cover view of
 Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
@@ -28,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
-from .graph import Element, Graph, all_pairs_distances, graph_stats
+from .graph import Element, Graph, graph_stats
 
 # Members searched from at once by is_mixed_generator.  Its temporaries
 # take about 50 bytes per (vertex, member) cell of a chunk, so 64 keeps the
@@ -59,7 +61,7 @@ def _element_distances(g: Graph) -> np.ndarray:
 
     An (n + m)-by-n array; an edge's row is the smaller of its endpoints' rows.
     """
-    dist = all_pairs_distances(g)
+    dist = _bfs_distances(*_csr(g), np.arange(g.n))
     ends = np.array(g.edges, dtype=np.intp)
     return np.vstack([dist, np.minimum(dist[ends[:, 0]], dist[ends[:, 1]])])
 

@@ -1,24 +1,25 @@
 """Definition-level references for the oracle's verifier and exact search.
 
-Both build the full all-pairs distance table and compare every element's
-profile as a tuple: the verifier groups whole profiles, and the exact
-search enumerates vertex subsets by size.  Quadratic in n and exponential
-in the dimension, so only for the small graphs the tests compare the
-package's oracle against.
+Both build the full all-pairs distance table with networkx, so they share
+no distance code with the package, and compare every element's profile as
+a tuple: the verifier groups whole profiles, and the exact search
+enumerates vertex subsets by size.  Quadratic in n and exponential in the
+dimension, so only for the small graphs the tests compare the package's
+oracle against.
 """
 
 from itertools import combinations
 
-import numpy as np
+import networkx as nx
 
-from mixedmetric import FailingPair, SearchResult, all_pairs_distances, element_order
+from mixedmetric import FailingPair, SearchResult, element_order
 
 
 def _element_rows(g):
     # Row per element, in element_order: its distance to every vertex.
-    dist = all_pairs_distances(g)
-    rows = [dist[v] for v in range(g.n)] + [np.minimum(dist[u], dist[v]) for u, v in g.edges]
-    return [tuple(int(d) for d in row) for row in rows]
+    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges)))
+    vertex_rows = [tuple(dist[v][s] for s in range(g.n)) for v in range(g.n)]
+    return vertex_rows + [tuple(map(min, vertex_rows[u], vertex_rows[v])) for u, v in g.edges]
 
 
 def reference_is_mixed_generator(g, members):
