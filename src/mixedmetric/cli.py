@@ -75,16 +75,17 @@ def parse_graph_file(path: str) -> Graph:
                     raw.encode("utf-8")
                 except UnicodeEncodeError:
                     raise ParseError(lineno, "not UTF-8 text") from None
-            text = raw.strip()
-            if not text or text.startswith("#"):
+            # split() and strip() cut at the same whitespace, so the first
+            # field starts with '#' exactly when the stripped line does.
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = text.split()
             if len(fields) != 2:
-                raise ParseError(lineno, f"expected two integers, got {text!r}")
+                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
             try:
                 a, b = int(fields[0]), int(fields[1])
             except ValueError:
-                raise ParseError(lineno, f"expected two integers, got {text!r}") from None
+                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
             if header is None:
                 header = (a, b)
             elif len(edges) < header[1]:

@@ -21,11 +21,12 @@ from .errors import (
     InfeasibleEdgeCountError,
     InvalidSpecError,
     InvariantError,
+    TooLargeError,
     TooSmallError,
 )
-from .exact import formula_report
+from .exact import mdim_exact
 from .graph import Graph, build_graph
-from .structure import Decomposition, GraphClassTag, classify, decompose
+from .structure import GraphClassTag, classify, decompose
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,9 @@ def random_cactus(spec: CactusSpec) -> Graph:
             n += length - 1
             edges.extend((ring[i], ring[(i + 1) % length]) for i in range(length))
     g = build_graph(n, edges)
+    # Drop the raw edge list before classifying, which sets this function's
+    # peak memory: at n = 1.65e4 the list holds about 1.4 MB.
+    del edges
     info = classify(g)
     if not info.in_cactus_family or info.cycle_count != spec.cycle_count:
         raise InvariantError(
@@ -205,12 +209,12 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _mdim_value(d: Decomposition, max_n: int) -> tuple[int, str]:
-    if d.graph_class.in_cactus_family:
-        return formula_report(d).total, "formula"
+def _mdim_value(g: Graph, max_n: int) -> tuple[int, str]:
+    if classify(g).in_cactus_family:
+        return mdim_exact(g).total, "formula"
     from .oracle import brute_force_mdim
 
-    return brute_force_mdim(d.graph, max_n=max_n).value, "oracle"
+    return brute_force_mdim(g, max_n=max_n).value, "oracle"
 
 
 def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
@@ -221,7 +225,7 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     """
     d = decompose(g)
     stats = d.stats
-    mdim, source = _mdim_value(d, max_n)
+    mdim, source = _mdim_value(g, max_n)
     bound = stats.l1 + 2 * stats.cyclomatic
     return ConjectureRecord(
         graph_id=_graph_digest(g),
@@ -240,9 +244,8 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
 
 def check_3connected(g: Graph, max_n: int = 16) -> ThreeConnectedReport:
     """Probe the strict bound mdim < 2 * cyclomatic for 3-connected graphs."""
-    d = decompose(g)
-    stats = d.stats
-    mdim, _ = _mdim_value(d, max_n)
+    stats = decompose(g).stats
+    mdim, _ = _mdim_value(g, max_n)
     return ThreeConnectedReport(
         applicable=stats.is_3_connected,
         strict=mdim < 2 * stats.cyclomatic,
@@ -270,6 +273,11 @@ def _campaign_graph(config: CampaignConfig, index: int) -> Graph:
         m = min(max(round(config.density * max_m), n - 1), max_m)
     else:
         raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
+    # A cactus has at most n - 1 + (n - 1) // 2 edges, so past that the graph
+    # would go to the oracle, which refuses n > max_n.  Refuse it before
+    # random_connected_graph lists the n^2 / 2 vertex pairs.
+    if n > config.max_n and m > n - 1 + (n - 1) // 2:
+        raise TooLargeError(f"n = {n} exceeds the search cap {config.max_n}")
     return random_connected_graph(n, m, child_seed)
 
 

@@ -7,10 +7,10 @@ admit no triple costs one extra vertex.  The total is
 
     leaf count  +  sum over cycles of max(3 - rt, 0)  +  delta,
 
-where delta counts the cycles needing the extra vertex.  Each public
-function decomposes its graph once (structure.decompose).  formula_report
-computes the terms and delta from that decomposition, and the construction
-of a certified minimum generator follows the same report.
+where delta counts the cycles needing the extra vertex.  Every public
+function reads the one decomposition structure.decompose keeps on the
+graph, and the construction of a certified minimum generator follows the
+report mdim_exact computes from it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph
 from .structure import (
     CycleInfo,
-    Decomposition,
     GraphClassTag,
     augment_for_triple,
     decompose,
@@ -81,8 +80,12 @@ def _cycle_terms(cycles: Iterable[CycleInfo]) -> tuple[CycleTerm, ...]:
     return tuple(terms)
 
 
-def formula_report(d: Decomposition) -> MdimReport:
-    """The exact formula on an already decomposed graph; see mdim_exact."""
+def mdim_exact(g: Graph) -> MdimReport:
+    """Exact mixed metric dimension of a tree, unicyclic graph, or cactus.
+
+    Raises NotACactusError otherwise; general graphs need the oracle.
+    """
+    d = decompose(g)
     if not d.graph_class.in_cactus_family:
         raise NotACactusError("exact formula applies to cacti only")
     l1 = d.stats.l1
@@ -90,14 +93,6 @@ def formula_report(d: Decomposition) -> MdimReport:
     delta = sum(t.needs_delta for t in terms)
     total = l1 + sum(t.max_term for t in terms) + delta
     return MdimReport(l1=l1, per_cycle=terms, delta=delta, total=total)
-
-
-def mdim_exact(g: Graph) -> MdimReport:
-    """Exact mixed metric dimension of a tree, unicyclic graph, or cactus.
-
-    Raises NotACactusError otherwise; general graphs need the oracle.
-    """
-    return formula_report(decompose(g))
 
 
 def build_min_generator(g: Graph) -> GeneratorCertificate:
@@ -110,8 +105,8 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
     (lexicographically smallest ring positions), and the result is checked
     against the definition-level oracle.
     """
+    report = mdim_exact(g)
     d = decompose(g)
-    report = formula_report(d)
 
     sa = tuple(sorted(d.stats.leaf_set))
     sb: list[tuple[int, ...]] = []

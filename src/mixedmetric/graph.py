@@ -61,18 +61,23 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Counting invariants of a connected graph."""
+    """Counting invariants of a connected graph.
+
+    It keeps the graph's adjacency for the 3-connectivity probe, not the
+    Graph: a decomposition stored on a Graph holds its stats, and a
+    reference back would make every such graph wait for the cyclic GC.
+    """
 
     leaf_set: frozenset[int]
     l1: int
     cyclomatic: int
     min_degree: int
-    graph: Graph = field(compare=False, repr=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @cached_property
     def is_3_connected(self) -> bool:
         """Exhaustive pair-removal probe, run on first read only."""
-        return _is_3_connected(self.graph)
+        return _is_3_connected(self.adjacency)
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
@@ -91,7 +96,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             raise VertexOutOfRangeError(f"edge ({u}, {v}) outside [0, {n})")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        e = canonical_edge(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in seen:
             raise DuplicateEdgeError(f"edge {e} listed twice")
         seen.add(e)
@@ -125,24 +130,26 @@ def _bfs_reachable(neighbors: Sequence[Sequence[int]], start: int, n: int,
 
 def graph_stats(g: Graph) -> GraphStats:
     """Leaf set, leaf count, cyclomatic number, and connectivity probes."""
-    leaves = frozenset(v for v in range(g.n) if g.degree(v) == 1)
+    adjacency = g.adjacency
+    leaves = frozenset(v for v, a in enumerate(adjacency) if len(a) == 1)
     return GraphStats(
         leaf_set=leaves,
         l1=len(leaves),
         cyclomatic=g.m - g.n + 1,
-        min_degree=min(g.degree(v) for v in range(g.n)),
-        graph=g,
+        min_degree=min(map(len, adjacency)),
+        adjacency=adjacency,
     )
 
 
-def _is_3_connected(g: Graph) -> bool:
+def _is_3_connected(adjacency: Sequence[Sequence[int]]) -> bool:
     # Exhaustive pair removal is fine at desk scale.  Vertex connectivity is
     # capped by the minimum degree, which rules out all cacti immediately.
-    if g.n < 4 or min(g.degree(v) for v in range(g.n)) < 3:
+    n = len(adjacency)
+    if n < 4 or min(map(len, adjacency)) < 3:
         return False
-    for u, v in combinations(range(g.n), 2):
+    for u, v in combinations(range(n), 2):
         removed = frozenset((u, v))
-        start = next(x for x in range(g.n) if x not in removed)
-        if len(_bfs_reachable(g.adjacency, start, g.n, removed)) != g.n - 2:
+        start = next(x for x in range(n) if x not in removed)
+        if len(_bfs_reachable(adjacency, start, n, removed)) != n - 2:
             return False
     return True

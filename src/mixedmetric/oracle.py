@@ -24,8 +24,8 @@ subsets by size would return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, count
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,19 +168,29 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
     the branch's suffix, or when a greedy packing of disjoint unhit
     constraints needs more members than the branch has left; neither cut
     drops a generator, so the search never tests more sets than the
-    enumeration.  Raises TooLargeError for n > max_n.
+    enumeration.  Raises TooLargeError for n > max_n, or once the searches
+    of all sizes together visit more than _MAX_NODES nodes.
     """
     if g.n > max_n:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
     forced = forced_vertices(g)
     constraints = _constraints(_element_distances(g), sorted(forced))
     candidates = [v for v in range(g.n) if v not in forced]
+    nodes = count(1)
     for k in range(max(len(forced), 1), g.n + 1):
-        extra = _first_hitting_set(candidates, constraints, k - len(forced))
+        extra = _first_hitting_set(candidates, constraints, k - len(forced), nodes)
         if extra is not None:
             return SearchResult(value=k, witness=tuple(sorted(forced.union(extra))))
     raise InvariantError("unreachable: the full vertex set is always a generator")
 
+
+# Search nodes one brute_force_mdim call may visit.  A node costs about
+# 20-30 us on a 2-core x86 VM, so the budget stops a search within about
+# half a minute.  Density-0.4 graphs need at most about 600 nodes up to
+# n = 16 (the default cap), 1.1e3 at n = 20 and 5.8e4 at n = 28, so no
+# graph the campaign draws comes near it; it stops the searches of hours
+# that dense graphs past n = 30 start under a raised --max-n.
+_MAX_NODES = 1_000_000
 
 # Cells of the (block rows, elements, vertices) comparison _constraints makes at
 # once; it bounds that step's memory to a few MB at any n.
@@ -214,14 +224,18 @@ def _constraints(rows: np.ndarray, forced: Sequence[int]) -> list[int]:
 
 
 def _first_hitting_set(candidates: Sequence[int], constraints: list[int],
-                       need: int) -> tuple[int, ...] | None:
+                       need: int, nodes: Iterator[int]) -> tuple[int, ...] | None:
     """Lexicographically first `need` candidates hitting every constraint, or None.
 
     The constraints hold candidate bits only.  At a node whose next pick
     comes from candidates[pos:], every unhit constraint must keep a vertex
-    there, so the pick may not pass the lowest top bit among them.
+    there, so the pick may not pass the lowest top bit among them.  Each
+    node draws its number from `nodes`; past _MAX_NODES the search raises
+    TooLargeError.
     """
     def extend(pos: int, need: int, unhit: list[int]) -> tuple[int, ...] | None:
+        if next(nodes) > _MAX_NODES:
+            raise TooLargeError(f"the exact search passed its budget of {_MAX_NODES} nodes")
         if not unhit:
             # Sizes are tried upward, so no smaller set hits everything and
             # need is 0 here.

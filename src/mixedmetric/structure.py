@@ -1,13 +1,13 @@
 """Cactus recognition and per-cycle combinatorial structure.
 
 A cactus is a connected graph whose blocks are single edges or cycles.
-decompose finds the blocks once and keeps what every consumer reads: the
-structural class, the leaf statistics and the cycles, each cycle oriented
-into a deterministic ring with its root positions marked.  The module also
-decides geodesic-triple questions on a ring.  Three ring positions form a
-geodesic triple exactly when the three arcs they cut have length at most
-floor(L/2) each, which is equivalent to their pairwise ring distances
-summing to the full ring length L.
+decompose finds the blocks once per graph and keeps what every consumer
+reads: the structural class, the leaf statistics and the cycles, each
+cycle oriented into a deterministic ring with its root positions marked.
+The module also decides geodesic-triple questions on a ring.  Three ring
+positions form a geodesic triple exactly when the three arcs they cut have
+length at most floor(L/2) each, which is equivalent to their pairwise ring
+distances summing to the full ring length L.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InfeasibleError, NotACactusError
-from .graph import Edge, Graph, GraphStats, canonical_edge, graph_stats
+from .graph import Edge, Graph, GraphStats, graph_stats
 
 
 class GraphClassTag(enum.Enum):
@@ -74,68 +74,72 @@ class CycleInfo:
 
 def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
     """Blocks (maximal biconnected subgraphs) as an edge partition."""
+    adjacency = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
     edge_stack: list[Edge] = []
     blocks: list[frozenset[Edge]] = []
 
     # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
-    timer = 0
-    disc[0] = low[0] = timer
-    timer += 1
-    work: list[tuple[int, int, Iterable[int]]] = [(0, -1, iter(g.adjacency[0]))]
-    while work:
-        v, parent, it = work[-1]
-        w = next(it, None)
-        if w is None:
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+    # path is the DFS path from the root and pos[i] the index of the next
+    # neighbour of path[i] to scan, so path[-2] is the parent of path[-1].
+    disc[0] = low[0] = 0
+    timer = 1
+    path = [0]
+    pos = [0]
+    while path:
+        v = path[-1]
+        i = pos[-1]
+        neighbors = adjacency[v]
+        if i == len(neighbors):
+            path.pop()
+            pos.pop()
+            if path:
+                u = path[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
                 if low[v] >= disc[u]:
-                    block = []
-                    while True:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(frozenset(canonical_edge(*e) for e in block))
+                    # The block is the tree edge (u, v) and every edge pushed after it.
+                    first = (u, v) if u < v else (v, u)
+                    k = len(edge_stack) - 1
+                    while edge_stack[k] != first:
+                        k -= 1
+                    blocks.append(frozenset(edge_stack[k:]))
+                    del edge_stack[k:]
             continue
-        if w == parent:
-            continue
+        pos[-1] = i + 1
+        w = neighbors[i]
         if disc[w] < 0:
-            edge_stack.append((v, w))
+            edge_stack.append((v, w) if v < w else (w, v))
             disc[w] = low[w] = timer
             timer += 1
-            work.append((w, v, iter(g.adjacency[w])))
-        elif disc[w] < disc[v]:
-            edge_stack.append((v, w))
-            low[v] = min(low[v], disc[w])
+            path.append(w)
+            pos.append(0)
+        elif disc[w] < disc[v] and w != path[-2]:
+            # A back edge.  At the root (disc 0) the first test fails, so
+            # path[-2] is read only where it exists.
+            edge_stack.append((v, w) if v < w else (w, v))
+            if disc[w] < low[v]:
+                low[v] = disc[w]
     return blocks
-
-
-def _block_is_cycle(block: frozenset[Edge]) -> bool:
-    vertices = {v for e in block for v in e}
-    return len(block) >= 2 and len(block) == len(vertices)
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Block structure of a connected graph, from one biconnected_blocks pass.
 
-    The class tag is fixed at construction.  The leaf statistics and the
+    The class tag and the leaf statistics are fixed at construction.  The
     cycle rings are built on first read, so a caller that only classifies
-    pays for neither.
+    does not pay for them.  The Graph keeps its decomposition (see
+    decompose), so this keeps the graph's adjacency, not the Graph, and of
+    each cycle block only its vertex tuple, about a fifth of the block's
+    size.
     """
 
     graph_class: GraphClass
-    graph: Graph = field(repr=False)
-    cycle_blocks: tuple[frozenset[Edge], ...] = field(repr=False)
-
-    @cached_property
-    def stats(self) -> GraphStats:
-        """Leaf set, leaf count and cyclomatic number of the graph."""
-        return graph_stats(self.graph)
+    stats: GraphStats
+    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
+    cycle_vertices: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @cached_property
     def cycles(self) -> tuple[CycleInfo, ...]:
@@ -145,37 +149,66 @@ class Decomposition:
         """
         if not self.graph_class.in_cactus_family:
             raise NotACactusError("graph has a block that is not an edge or a cycle")
+        adjacency = self.adjacency
         cycles = []
-        for block in self.cycle_blocks:
-            local: dict[int, list[int]] = {}
-            for u, v in block:
-                local.setdefault(u, []).append(v)
-                local.setdefault(v, []).append(u)
-            start = min(local)
-            ring = [start, min(local[start])]
-            while len(ring) < len(local):
-                a, b = local[ring[-1]]
-                ring.append(a if b == ring[-2] else b)
-            roots = frozenset(i for i, v in enumerate(ring) if self.graph.degree(v) >= 3)
+        for vertices in self.cycle_vertices:
+            # In a cactus no edge joins two vertices of a cycle but the
+            # cycle's own, so a ring vertex has exactly two neighbours on it.
+            on = set(vertices)
+            start = min(vertices)
+            ring = [start, min(w for w in adjacency[start] if w in on)]
+            while len(ring) < len(vertices):
+                before = ring[-2]
+                ring.append(next(w for w in adjacency[ring[-1]] if w in on and w != before))
+            roots = frozenset(i for i, v in enumerate(ring) if len(adjacency[v]) >= 3)
             cycles.append(CycleInfo(ring=tuple(ring), root_positions=roots))
         return tuple(sorted(cycles, key=lambda c: c.ring))
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Find the blocks of g once and tag its class; stats and cycles follow on first read."""
-    fat = [b for b in biconnected_blocks(g) if len(b) >= 2]
-    cycle_blocks = tuple(b for b in fat if _block_is_cycle(b))
-    c = len(cycle_blocks)
-    if c != len(fat):
+    """The block structure of g, found on the first call and kept on g.
+
+    A Graph is immutable, so later calls on the same object return the
+    stored result, as Graph.edge_set does.  Two threads racing on a fresh
+    graph both compute an equal result, and either one may stay.
+    """
+    d = g.__dict__.get("_decomposition")
+    if d is None:
+        d = _decompose(g)
+        # Graph is a frozen dataclass: write to its instance dict directly,
+        # as functools.cached_property does.
+        g.__dict__["_decomposition"] = d
+    return d
+
+
+def _decompose(g: Graph) -> Decomposition:
+    fat = 0
+    cycle_vertices = []
+    blocks = biconnected_blocks(g)
+    # Each block is freed once read, so the vertex tuples do not add to the
+    # peak the whole list sets (about 2.5 MB at n = 1.65e4).  Order does not
+    # matter: cycles sorts the rings.
+    while blocks:
+        block = blocks.pop()
+        if len(block) >= 2:
+            fat += 1
+            vertices = {v for e in block for v in e}
+            # A block with as many edges as vertices is a cycle.
+            if len(vertices) == len(block):
+                cycle_vertices.append(tuple(vertices))
+    stats = graph_stats(g)
+    c = len(cycle_vertices)
+    if c != fat:
         tag = GraphClassTag.GENERAL
     elif c == 0:
         tag = GraphClassTag.TREE
     elif c == 1:
-        is_pure_ring = g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
-        tag = GraphClassTag.CYCLE if is_pure_ring else GraphClassTag.UNICYCLIC
+        # A unicyclic graph without a leaf is its cycle.
+        tag = GraphClassTag.UNICYCLIC if stats.l1 else GraphClassTag.CYCLE
     else:
         tag = GraphClassTag.CACTUS
-    return Decomposition(graph_class=GraphClass(tag, c), graph=g, cycle_blocks=cycle_blocks)
+    return Decomposition(graph_class=GraphClass(tag, c), stats=stats,
+                         adjacency=g.adjacency, cycle_vertices=tuple(cycle_vertices))
 
 
 def classify(g: Graph) -> GraphClass:

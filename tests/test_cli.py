@@ -147,6 +147,14 @@ class TestVerbs:
     def test_oracle_size_cap(self, graph_file, capsys):
         assert run(["oracle", graph_file(K4), "--max-n", "3"]) == 2
 
+    def test_oracle_search_budget(self, graph_file, capsys, monkeypatch):
+        import mixedmetric.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_MAX_NODES", 2)
+        assert run(["oracle", graph_file(K4)]) == 2
+        assert capsys.readouterr().err == "error: the exact search passed its budget of 2 nodes\n"
+        assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 2
+
     def test_bounds_verb(self, graph_file, capsys):
         assert run(["bounds", graph_file(BOWTIE), "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"bound": 4, "attained": True}
@@ -243,6 +251,21 @@ class TestExitCodes:
         assert run(["conjecture", "--count", "5", "--seed", "6", "--out", str(out)]) == 2
         assert "line 1" in capsys.readouterr().err
         assert out.read_bytes() == written
+
+    def test_campaign_past_the_search_cap_is_two(self, tmp_path):
+        # Refused before the vertex-pair list of a dense graph exists: at
+        # n = 5000 that list alone would pass the 1 GiB address-space limit.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedmetric", "conjecture", "--count", "1",
+             "--n-range", "5000..5000", "--out", str(tmp_path / "c.jsonl")],
+            capture_output=True, text=True, env=ENV, timeout=60, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: n = 5000 exceeds the search cap 16\n"
 
     def test_absurd_header_is_two(self, graph_file, capsys):
         assert run(["classify", graph_file("1000000000 0\n")]) == 2

@@ -242,3 +242,24 @@ class TestRunCampaign:
         with pytest.raises(CampaignFileError, match="line 3"):
             run_campaign(CampaignConfig(count=5, output_path=str(out), seed=1))
         assert out.read_bytes() == cut
+
+    def test_graph_past_the_cap_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
+        import mixedmetric.conjecture as conj_mod
+
+        def build(n, m, seed):
+            raise RuntimeError(f"built a graph with n = {n}")
+
+        monkeypatch.setattr(conj_mod, "random_connected_graph", build)
+        config = CampaignConfig(count=1, output_path=str(tmp_path / "big.jsonl"),
+                                n_range=(1500, 1500))
+        with pytest.raises(TooLargeError, match="n = 1500 exceeds the search cap 16"):
+            run_campaign(config)
+
+    def test_sparse_graph_past_the_cap_is_still_built(self, tmp_path):
+        # m = n - 1 can only be a tree, which the formula handles at any n.
+        out = tmp_path / "trees.jsonl"
+        config = CampaignConfig(count=2, output_path=str(out), n_range=(40, 40),
+                                m_strategy="fixed", fixed_m=0)
+        assert run_campaign(config).count == 2
+        assert all(json.loads(line)["mdim_source"] == "formula"
+                   for line in out.read_text().splitlines())

@@ -102,6 +102,29 @@ class TestBruteForce:
         with pytest.raises(TooLargeError):
             brute_force_mdim(path(6), max_n=5)
 
+    def test_search_budget(self, monkeypatch):
+        import itertools
+
+        import mixedmetric.oracle as oracle_mod
+
+        counters = []
+
+        def counting(start):
+            counters.append(itertools.count(start))
+            return counters[-1]
+
+        monkeypatch.setattr(oracle_mod, "count", counting)
+        g = complete(5)
+        assert brute_force_mdim(g).value == 5
+        visited = sum(next(c) - 1 for c in counters)
+        # The budget bounds the nodes of all sizes together: a budget per
+        # size would let one node fewer than the total through.
+        monkeypatch.setattr(oracle_mod, "_MAX_NODES", visited)
+        assert brute_force_mdim(g).value == 5
+        monkeypatch.setattr(oracle_mod, "_MAX_NODES", visited - 1)
+        with pytest.raises(TooLargeError, match=f"budget of {visited - 1} nodes"):
+            brute_force_mdim(g)
+
     def test_more_vertices_than_a_machine_word(self):
         # Constraint masks are Python ints, so bits past 63 work.
         assert brute_force_mdim(path(70), max_n=70).witness == (0, 69)

@@ -1,5 +1,7 @@
 """Cactus recognition, the block decomposition, rings, and geodesic triples."""
 
+import gc
+import weakref
 from collections import deque
 from itertools import combinations
 
@@ -181,11 +183,43 @@ class TestExtractCycles:
 def test_each_public_call_finds_the_blocks_once(monkeypatch, call, graph):
     g = {"cactus": random_cactus(CactusSpec(3, (3, 6), 3, seed=7)),
          "general": complete(5)}[graph]
+    # random_cactus classifies its graph, which keeps the blocks on it.
+    g = build_graph(g.n, g.edges)
     calls = []
     real = structure.biconnected_blocks
     monkeypatch.setattr(structure, "biconnected_blocks", lambda g: calls.append(g) or real(g))
     call(g)
     assert len(calls) == 1
+
+
+def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
+    g = random_cactus(CactusSpec(3, (3, 6), 3, seed=7))
+    g = build_graph(g.n, g.edges)
+    calls = []
+    real = structure.biconnected_blocks
+    monkeypatch.setattr(structure, "biconnected_blocks", lambda g: calls.append(g) or real(g))
+    for call in (classify, extract_cycles, mdim_exact, bound_report, build_min_generator,
+                 evaluate_conjecture):
+        call(g)
+    assert len(calls) == 1
+
+
+def test_a_decomposed_graph_is_freed_without_the_cyclic_gc():
+    # Nothing a graph keeps may refer back to it, or every dropped graph
+    # would wait for the cyclic GC and hold its memory until then.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in (mdim_exact, bound_report, build_min_generator, evaluate_conjecture,
+                     check_3connected):
+            call(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestGeodesicTriple:
