@@ -57,6 +57,14 @@ from .graph import (
     canonical_edge,
     graph_stats,
 )
+from .oracle import (
+    FailingPair,
+    SearchResult,
+    brute_force_mdim,
+    element_order,
+    forced_vertices,
+    is_mixed_generator,
+)
 from .structure import (
     CycleInfo,
     GraphClass,
@@ -85,23 +93,3 @@ __all__ = [
     "graph_stats", "has_geodesic_triple", "is_mixed_generator", "mdim_exact",
     "random_cactus", "random_connected_graph", "random_tree", "run_campaign",
 ]
-
-# The oracle is the one module that imports numpy, which costs most of the
-# package's import time, and the formula path never runs it: its names load
-# on first use (PEP 562), and the modules that call it import it inside
-# those calls.
-_ORACLE_NAMES = frozenset({
-    "FailingPair", "SearchResult", "brute_force_mdim", "element_order",
-    "forced_vertices", "is_mixed_generator",
-})
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exact import GeneratorCertificate, MdimReport, bound_report, build_min_generator, mdim_exact
 from .graph import Element, Graph, build_graph
+from .oracle import brute_force_mdim, is_mixed_generator
 from .structure import classify
 
 EXIT_OK = 0
@@ -166,8 +167,6 @@ def _print_report(report: MdimReport) -> None:
 def _cmd_dim(args) -> int:
     g = parse_graph_file(args.graph)
     if args.force_oracle:
-        from .oracle import brute_force_mdim
-
         result = brute_force_mdim(g, max_n=args.max_n)
         payload = {"source": "oracle", "total": result.value, "witness": list(result.witness)}
         try:
@@ -225,8 +224,6 @@ def _parse_vertex_csv(text: str) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import is_mixed_generator
-
     g = parse_graph_file(args.graph)
     ok, pair = is_mixed_generator(g, _parse_vertex_csv(args.set))
     if args.json:
@@ -243,8 +240,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import brute_force_mdim
-
     result = brute_force_mdim(parse_graph_file(args.graph), max_n=args.max_n)
     if args.json:
         _emit({"total": result.value, "witness": list(result.witness)})

@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .exact import mdim_exact
 from .graph import Graph, build_graph
+from .oracle import brute_force_mdim
 from .structure import GraphClassTag, classify, decompose
 
 
@@ -196,11 +198,20 @@ def random_connected_graph(n: int, m: int, seed: int) -> Graph:
         )
     rng = random.Random(seed)
     tree = [(0, 1)] if n == 2 else _prufer_edges(n, rng)
-    present = {(min(u, v), max(u, v)) for u, v in tree}
-    non_edges = sorted(
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
-    )
-    chords = rng.sample(non_edges, m - (n - 1))
+    # The chords are a sample of the non-edges in lexicographic order.
+    # random.sample reads only a population's length and items, so sampling
+    # a range of indices draws the same indices without listing n^2 / 2
+    # pairs.  Pairs (u, v), u < v, are ranked lexicographically, u's from
+    # offset[u] on; non-edge j has rank j plus the number of tree ranks it
+    # passes, which are the i-th smallest ones r with r - i <= j.
+    offset = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    tree_ranks = sorted(offset[min(e)] + max(e) - min(e) - 1 for e in tree)
+    below = [r - i for i, r in enumerate(tree_ranks)]
+    chords = []
+    for j in rng.sample(range(n * (n - 1) // 2 - (n - 1)), m - (n - 1)):
+        rank = j + bisect_right(below, j)
+        u = bisect_right(offset, rank) - 1
+        chords.append((u, u + 1 + rank - offset[u]))
     return build_graph(n, tree + chords)
 
 
@@ -212,8 +223,6 @@ def _graph_digest(g: Graph) -> str:
 def _mdim_value(g: Graph, max_n: int) -> tuple[int, str]:
     if classify(g).in_cactus_family:
         return mdim_exact(g).total, "formula"
-    from .oracle import brute_force_mdim
-
     return brute_force_mdim(g, max_n=max_n).value, "oracle"
 
 
@@ -275,7 +284,7 @@ def _campaign_graph(config: CampaignConfig, index: int) -> Graph:
         raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
     # A cactus has at most n - 1 + (n - 1) // 2 edges, so past that the graph
     # would go to the oracle, which refuses n > max_n.  Refuse it before
-    # random_connected_graph lists the n^2 / 2 vertex pairs.
+    # random_connected_graph builds it.
     if n > config.max_n and m > n - 1 + (n - 1) // 2:
         raise TooLargeError(f"n = {n} exceeds the search cap {config.max_n}")
     return random_connected_graph(n, m, child_seed)

@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph
+from .oracle import is_mixed_generator
 from .structure import (
     CycleInfo,
     GraphClassTag,
@@ -141,8 +142,6 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
         raise InvariantError(
             f"construction produced {len(vertices)} vertices, formula says {report.total}"
         )
-    from .oracle import is_mixed_generator
-
     ok, _ = is_mixed_generator(g, vertices)
     return GeneratorCertificate(vertices=vertices, sa=sa, sb=tuple(sb), sc=tuple(sc), verified=ok)
 

@@ -3,8 +3,8 @@
 Vertices are the integers 0..n-1 and edges are stored canonically as
 (min, max) pairs.  Every analysis entry point in the package assumes the
 graph is connected, so connectedness is enforced at construction time.
-Distances live in the oracle (oracle._bfs_distances); this module only
-asks which vertices a search reaches, and imports no numpy.
+Distances live in the oracle (oracle._element_codes); this module only
+asks which vertices a search reaches.
 """
 
 from __future__ import annotations

@@ -2,11 +2,16 @@
 
 A vertex set S is a mixed metric generator when every pair of distinct
 elements of V(G) union E(G) is told apart by the distance to some member
-of S.  Verification searches breadth-first from the members of S only, in
-chunks, and compares profiles exactly: O(|S| (n + m)) time and
-O(_CHUNK n) memory, with no all-pairs matrix.  That chunked numpy BFS
-(_bfs_distances) is the package's one distance routine, and this is the
-one module that imports numpy: the formula path never loads it.
+of S.  Both checks here rest on one pure-Python breadth-first search from
+k sources at once over Python ints used as bitsets (_element_codes).  An
+element's code holds in field L (bits L k .. L k + k - 1) the sources at
+distance exactly L, so two elements have equal codes exactly when their
+distance profiles are equal; an edge's code follows from its endpoints'.
+Verification searches from the members of S only, _CHUNK at a time in
+depth-first preorder, and compares codes exactly, with no all-pairs
+matrix: O(|S| / _CHUNK levels (n + m)) operations on ints of up to
+_CHUNK levels bits, and O(_CHUNK levels (n + m)) bits of memory, where
+levels is the largest distance from a member.
 
 The exact dimension is a minimum hitting set (the set-cover view of
 Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
@@ -23,19 +28,21 @@ subsets by size would return.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
 from .graph import Element, Graph, graph_stats
 
-# Members searched from at once by is_mixed_generator.  Its temporaries
-# take about 50 bytes per (vertex, member) cell of a chunk, so 64 keeps the
-# check of an n = 1.65e4 cactus near 0.1 GB; wider chunks were no faster.
-_CHUNK = 64
+# Sources searched from at once by is_mixed_generator; a chunk's codes hold
+# about _CHUNK levels (n + m) bits.  256 checks every set perfbench
+# certifies in one pass (its 120-cycle cacti need |S| <= 242 over 200
+# seeds).  The |S| = 5600 certificate of the n = 16299 cactus of
+# CactusSpec(3000, (3, 8), 3000, 12345) checked in 15.3 s at 71 MB peak RSS
+# with 128, 13.8 s at 86 MB with 256 and 11.3 s at 133 MB with 512.
+_CHUNK = 256
 
 
 class FailingPair(NamedTuple):
@@ -56,16 +63,6 @@ def element_order(g: Graph) -> tuple[Element, ...]:
     return tuple(range(g.n)) + g.edges
 
 
-def _element_distances(g: Graph) -> np.ndarray:
-    """Distance from every element, in element_order, to every vertex.
-
-    An (n + m)-by-n array; an edge's row is the smaller of its endpoints' rows.
-    """
-    dist = _bfs_distances(*_csr(g), np.arange(g.n))
-    ends = np.array(g.edges, dtype=np.intp)
-    return np.vstack([dist, np.minimum(dist[ends[:, 0]], dist[ends[:, 1]])])
-
-
 def _checked_members(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
     order = tuple(sorted(set(members)))
     if not order:
@@ -81,69 +78,101 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     On failure also returns the first failing pair, ordering elements as
     vertices before edges and lexicographically within each kind.
 
-    Runs breadth-first search from the members only, _CHUNK of them at a
-    time, and refines one class label per element with each chunk's
-    distance columns, so two elements end in one class exactly when their
-    whole profiles agree.  Time O(|S| (n + m)), memory O(_CHUNK n).
+    Searches breadth-first from the members only, _CHUNK of them at a
+    time, and refines one class label per element with each chunk's codes,
+    so two elements end in one class exactly when their whole profiles
+    agree.  Time O(|S| / _CHUNK levels (n + m)) operations on ints of up to
+    _CHUNK levels bits, memory O(_CHUNK levels (n + m)) bits.
     """
-    order = np.array(_checked_members(g, members), dtype=np.intp)
-    indptr, indices = _csr(g)
-    ends = np.array(g.edges, dtype=np.intp)
-    labels = np.zeros(g.n + g.m, dtype=np.intp)
-    for start in range(0, order.size, _CHUNK):
-        dist = _bfs_distances(indptr, indices, order[start:start + _CHUNK])
-        table = np.empty((g.n + g.m, dist.shape[1] + 1), dtype=np.int32)
-        table[:, 0] = labels
-        table[:g.n, 1:] = dist
-        np.minimum(dist[ends[:, 0]], dist[ends[:, 1]], out=table[g.n:, 1:])
-        rows = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
-        labels = np.unique(rows, return_inverse=True)[1]
-    clashing = np.flatnonzero(np.bincount(labels)[labels] > 1)
-    if clashing.size == 0:
-        return True, None
-    # The smallest clashing index opens its class, and that class has the
-    # smallest first member; its next member completes the pair.
-    first = int(clashing[0])
-    second = int(np.flatnonzero(labels == labels[first])[1])
+    order = _checked_members(g, members)
+    if len(order) > _CHUNK:
+        # Chunks take the members in depth-first preorder, so each chunk's
+        # sources lie close together and reach a vertex at fewer levels: on
+        # the n = 16299 check (see _CHUNK) this cut 22.7 s to 13.8 s.
+        position = _preorder(g)
+        order = sorted(order, key=position.__getitem__)
+    bits = (g.n + g.m).bit_length()
+    labels: list[int] = []
+    for start in range(0, len(order), _CHUNK):
+        codes = _element_codes(g, order[start:start + _CHUNK])
+        if labels:
+            # Keys are ints, not (label, code) tuples, which the collector
+            # tracks, and are packed in place, so no second list is built.
+            for i, label in enumerate(labels):
+                codes[i] = codes[i] << bits | label
+        if len(set(codes)) == len(codes):
+            # Every element is alone in its class, and later chunks only split classes.
+            return True, None
+        ids: dict[int, int] = {}
+        labels = [ids.setdefault(code, len(ids)) for code in codes]
+        # Free this chunk's codes before the next chunk's search builds its own.
+        del codes, ids
+    # Labels number the classes in the order of their first members, so the
+    # smallest shared label opens the pair; its class's next member closes it.
+    sizes = Counter(labels)
+    label = min(label for label, size in sizes.items() if size > 1)
+    first = labels.index(label)
+    second = labels.index(label, first + 1)
     elements = element_order(g)
     return False, FailingPair(elements[first], elements[second])
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    # Compressed adjacency: the neighbours of v are indices[indptr[v]:indptr[v + 1]].
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
-    return indptr, indices
+def _preorder(g: Graph) -> list[int]:
+    """Position of each vertex in a depth-first preorder from vertex 0."""
+    position = [-1] * g.n
+    stack = [0]
+    visited = 0
+    while stack:
+        v = stack.pop()
+        if position[v] < 0:
+            position[v] = visited
+            visited += 1
+            stack.extend(g.adjacency[v])
+    return position
 
 
-def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Hop distances from every source at once: an n-by-len(sources) array.
+def _element_codes(g: Graph, sources: Sequence[int]) -> list[int]:
+    """Distance code of every element, in element_order, from distinct sources.
 
-    Level-synchronous: a frontier cell is (vertex, source) flattened to
-    vertex * k + source.
+    Bit L k + i of a code (k = len(sources)) is set when the element lies at
+    distance exactly L from sources[i].  Adjacent vertices differ by at most
+    one level and an edge lies at the nearer endpoint's, so with X the OR of
+    its endpoints' codes an edge's code is X & ~(X << k).
+
+    Level-synchronous: cur[v] holds the sources whose search reached v at
+    the current level, nxt[v] those reaching it at the next, and unreached[v]
+    those yet to reach it; only the frontier's vertices are walked.
     """
-    n, k = indptr.size - 1, sources.size
-    dist = np.full(n * k, -1, dtype=np.int32)
-    stamp = np.empty(n * k, dtype=np.intp)
-    frontier = sources * k + np.arange(k)
-    dist[frontier] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        vertex, source = np.divmod(frontier, k)
-        begin = indptr[vertex]
-        count = indptr[vertex + 1] - begin
-        # Position of each neighbour in indices, frontier cell by cell.
-        shift = np.repeat(begin - (np.cumsum(count) - count), count)
-        cells = indices[np.arange(shift.size) + shift] * k + np.repeat(source, count)
-        cells = cells[dist[cells] < 0]
-        # Keep one copy of each cell: the copy whose position its stamp holds.
-        slots = np.arange(cells.size)
-        stamp[cells] = slots
-        frontier = cells[stamp[cells] == slots]
-        dist[frontier] = level
-    return dist.reshape(n, k)
+    adjacency = g.adjacency
+    k = len(sources)
+    unreached = [(1 << k) - 1] * g.n
+    cur = [0] * g.n
+    nxt = [0] * g.n
+    code = [0] * g.n
+    for i, s in enumerate(sources):
+        cur[s] = code[s] = 1 << i
+        unreached[s] ^= 1 << i
+    frontier = list(sources)
+    shift = 0
+    while frontier:
+        shift += k
+        reached = []
+        for u in frontier:
+            bits = cur[u]
+            cur[u] = 0
+            for v in adjacency[u]:
+                new = bits & unreached[v]
+                if new:
+                    unreached[v] ^= new
+                    if not nxt[v]:
+                        reached.append(v)
+                    nxt[v] |= new
+        for v in reached:
+            code[v] |= nxt[v] << shift
+        frontier = reached
+        cur, nxt = nxt, cur
+    code += [(x := code[u] | code[v]) & ~(x << k) for u, v in g.edges]
+    return code
 
 
 def forced_vertices(g: Graph) -> frozenset[int]:
@@ -174,7 +203,7 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
     if g.n > max_n:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
     forced = forced_vertices(g)
-    constraints = _constraints(_element_distances(g), sorted(forced))
+    constraints = _constraints(_element_codes(g, range(g.n)), g.n, forced)
     candidates = [v for v in range(g.n) if v not in forced]
     nodes = count(1)
     for k in range(max(len(forced), 1), g.n + 1):
@@ -192,35 +221,36 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
 # that dense graphs past n = 30 start under a raised --max-n.
 _MAX_NODES = 1_000_000
 
-# Cells of the (block rows, elements, vertices) comparison _constraints makes at
-# once; it bounds that step's memory to a few MB at any n.
-_PAIR_CELLS = 1 << 22
 
-
-def _constraints(rows: np.ndarray, forced: Sequence[int]) -> list[int]:
+def _constraints(codes: list[int], n: int, forced: Iterable[int]) -> list[int]:
     """Minimal bitmasks of the vertices resolving each pair the forced leaves miss.
 
-    Bit v of a mask is set when vertex v tells the pair's two element rows
-    apart.  Pairs a forced vertex resolves are dropped, and so are repeats
-    and supersets of other masks; the rest come smallest first.
+    The codes come from a search from every vertex in id order, so bit v of
+    each n-bit field stands for vertex v.  Each vertex's bit is set in one
+    field of a code only, so the fields of a & b share no bit, and their OR,
+    the vertices that leave the pair at equal distance, is their sum,
+    (a & b) mod (2^n - 1).  That is never all n bits, since two distinct
+    elements differ at a vertex of one of them (the vertex itself or an
+    edge's endpoint), so the mask of the vertices that tell the pair apart
+    is its complement.  Pairs a forced
+    vertex resolves are dropped, and so are repeats and supersets of other
+    masks; the rest come smallest first.
     """
-    count, n = rows.shape
-    block = max(1, _PAIR_CELLS // (count * n))
-    kept = np.empty((0, -(-n // 8)), dtype=np.uint8)
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        differ = rows[start:stop, None, :] != rows[None, :, :]
-        # Each pair once: the second element comes after the first.
-        differ = differ[np.arange(count) > np.arange(start, stop)[:, None]]
-        differ = differ[~differ[:, list(forced)].any(axis=1)]
-        masks = np.concatenate([kept, np.packbits(differ, axis=1, bitorder="little")])
-        masks = masks[np.argsort(np.bitwise_count(masks).sum(axis=1), kind="stable")]
-        minimal = []
-        while len(masks):
-            minimal.append(masks[0])
-            masks = masks[((masks & masks[0]) != masks[0]).any(axis=1)]
-        kept = np.array(minimal, dtype=np.uint8).reshape(-1, kept.shape[1])
-    return [int.from_bytes(mask.tobytes(), "little") for mask in kept]
+    full = (1 << n) - 1
+    drop = sum(1 << v for v in forced)
+    # A dict drops repeats and keeps the pairs' order, which the sort by
+    # size keeps within each size; a set's order cost the search 30% more
+    # nodes on dense graphs (58k -> 76k at n = 28).
+    masks = {mask: None for i, a in enumerate(codes) for b in codes[i + 1:]
+             if not (mask := full ^ (a & b) % full) & drop}
+    minimal: list[int] = []
+    for mask in sorted(masks, key=int.bit_count):
+        for kept in minimal:
+            if kept & mask == kept:
+                break
+        else:
+            minimal.append(mask)
+    return minimal
 
 
 def _first_hitting_set(candidates: Sequence[int], constraints: list[int],

@@ -1,18 +1,22 @@
-"""Definition-level references for the oracle's verifier and exact search.
+"""Definition-level references the package's faster code is compared against.
 
-Both build the full all-pairs distance table with networkx, so they share
-no distance code with the package, and compare every element's profile as
-a tuple: the verifier groups whole profiles, and the exact search
-enumerates vertex subsets by size.  Quadratic in n and exponential in the
-dimension, so only for the small graphs the tests compare the package's
-oracle against.
+The verifier and the exact search build the full all-pairs distance table
+with networkx, so they share no distance code with the package, and
+compare every element's profile as a tuple: the verifier groups whole
+profiles, and the exact search enumerates vertex subsets by size.
+Quadratic in n and exponential in the dimension, so only for the small
+graphs the tests compare the package's oracle against.  The random graph
+draw lists every non-edge and samples that list, where the package's
+random_connected_graph samples ranks and maps them to pairs.
 """
 
+import random
 from itertools import combinations
 
 import networkx as nx
 
-from mixedmetric import FailingPair, SearchResult, element_order
+from mixedmetric import FailingPair, SearchResult, build_graph, element_order
+from mixedmetric.conjecture import _prufer_edges
 
 
 def _element_rows(g):
@@ -62,3 +66,14 @@ def _profiles_distinct(rows, members):
             return False
         seen.add(key)
     return True
+
+
+def reference_random_connected_graph(n, m, seed):
+    """random_connected_graph drawn from the listed non-edges, O(n^2) memory."""
+    rng = random.Random(seed)
+    tree = [(0, 1)] if n == 2 else _prufer_edges(n, rng)
+    present = {(min(u, v), max(u, v)) for u, v in tree}
+    non_edges = sorted(
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
+    )
+    return build_graph(n, tree + rng.sample(non_edges, m - (n - 1)))

@@ -267,6 +267,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "error: n = 5000 exceeds the search cap 16\n"
 
+    def test_sparse_campaign_graph_past_the_search_cap_is_two(self, tmp_path):
+        # m is within a cactus's edge bound, so the graph is drawn and only
+        # the oracle refuses it.  Listing its 1.1e6 vertex pairs would pass
+        # the 128 MiB address-space limit; drawing ranks stays far below it.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedmetric", "conjecture", "--count", "1",
+             "--n-range", "1500..1500", "--fixed-m", "1600", "--out", str(tmp_path / "c.jsonl")],
+            capture_output=True, text=True, env=ENV, timeout=60, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: n = 1500 exceeds the search cap 16\n"
+
     def test_absurd_header_is_two(self, graph_file, capsys):
         assert run(["classify", graph_file("1000000000 0\n")]) == 2
 

@@ -26,6 +26,7 @@ from mixedmetric import (
 )
 
 from graphs import bowtie, complete, cycle, k33, path, prism, wheel
+from reference import reference_random_connected_graph
 
 
 class TestRandomTree:
@@ -105,6 +106,15 @@ class TestRandomConnectedGraph:
         a = random_connected_graph(8, 14, seed=42)
         b = random_connected_graph(8, 14, seed=42)
         assert a.edges == b.edges
+
+    @given(st.integers(2, 40), st.floats(0, 1), st.integers(0, 10**6))
+    @settings(max_examples=300)
+    def test_draws_the_listed_non_edges(self, n, fill, seed):
+        # Sampling ranks must pick the very chords that sampling the sorted
+        # list of non-edges picks, so seeded campaigns keep their graphs.
+        m = n - 1 + round(fill * ((n - 1) * (n - 2) // 2))
+        got = random_connected_graph(n, m, seed)
+        assert got.edges == reference_random_connected_graph(n, m, seed).edges
 
 
 class TestEvaluateConjecture:

@@ -1,6 +1,5 @@
 """Graph construction, BFS distances, and scalar invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +15,7 @@ from mixedmetric import (
     graph_stats,
     random_connected_graph,
 )
-from mixedmetric.oracle import _element_distances
+from mixedmetric.oracle import _element_codes
 
 from graphs import bowtie, complete, cycle, path, star
 from reference import _element_rows
@@ -61,26 +60,47 @@ class TestBuildGraph:
         assert g.has_edge(2, 0) and not g.has_edge(1, 3)
 
 
+def decode(codes, k):
+    """Distance rows of the oracle's codes: a bit in field L means distance L."""
+    rows = []
+    for code in codes:
+        row = [None] * k
+        level = 0
+        while code:
+            for i in range(k):
+                if code >> i & 1:
+                    assert row[i] is None, "a source in two fields"
+                    row[i] = level
+            code >>= k
+            level += 1
+        assert None not in row, "a source in no field"
+        rows.append(tuple(row))
+    return rows
+
+
+def element_rows(g):
+    # The package's one BFS, from every vertex: one row per element, in element_order.
+    return decode(_element_codes(g, range(g.n)), g.n)
+
+
 def distances(g):
-    # The package's one BFS: the vertex rows of the oracle's element table.
-    return _element_distances(g)[:g.n]
+    return element_rows(g)[:g.n]
 
 
 class TestDistances:
     def test_path_distance(self):
-        assert distances(path(3))[0, 2] == 2
+        assert distances(path(3))[0][2] == 2
 
     def test_cycle_uses_shorter_arc(self):
-        assert distances(cycle(5))[0, 3] == 2
+        assert distances(cycle(5))[0][3] == 2
 
     def test_complete_graph_all_ones(self):
         d = distances(complete(4))
-        assert d.sum() == 12 and d.max() == 1
+        assert sum(map(sum, d)) == 12 and max(map(max, d)) == 1
 
 
 def element_distance(g, element, source):
-    # The oracle's table holds one row per element, in element_order.
-    return _element_distances(g)[element_order(g).index(element), source]
+    return element_rows(g)[element_order(g).index(element)][source]
 
 
 class TestElementDistance:
@@ -130,26 +150,39 @@ connected_graphs = st.builds(
 @given(connected_graphs)
 @settings(max_examples=60)
 def test_distances_match_networkx(g):
-    # The reference's rows come from networkx.all_pairs_shortest_path_length.
-    assert [tuple(row) for row in _element_distances(g).tolist()] == _element_rows(g)
+    # The reference's rows come from networkx.all_pairs_shortest_path_length,
+    # an edge's entry being the smaller of its endpoints'; decoding the codes
+    # of a search from every vertex pins the edge rule X & ~(X << k).
+    assert element_rows(g) == _element_rows(g)
+
+
+@given(connected_graphs, st.data())
+@settings(max_examples=60)
+def test_codes_from_some_sources_match_networkx(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    rows = _element_rows(g)
+    assert decode(_element_codes(g, sources), len(sources)) == [
+        tuple(row[s] for s in sources) for row in rows]
 
 
 @given(connected_graphs)
 @settings(max_examples=60)
 def test_distance_matrix_basics(g):
     d = distances(g)
-    assert (d == d.T).all()
-    assert (np.diag(d) == 0).all()
-    assert (d >= 0).all() and (d[~np.eye(g.n, dtype=bool)] > 0).all()
+    for u in range(g.n):
+        for v in range(g.n):
+            assert d[u][v] == d[v][u]
+            assert (d[u][v] == 0) == (u == v)
 
 
 @given(connected_graphs)
 @settings(max_examples=40)
 def test_triangle_inequality(g):
     d = distances(g)
-    # d[u, w] <= d[u, v] + d[v, w] for all triples, vectorized per v.
-    for v in range(g.n):
-        assert (d <= d[:, [v]] + d[[v], :]).all()
+    for u in range(g.n):
+        for v in range(g.n):
+            for w in range(g.n):
+                assert d[u][w] <= d[u][v] + d[v][w]
 
 
 @given(connected_graphs)
@@ -157,16 +190,15 @@ def test_triangle_inequality(g):
 def test_edges_change_distance_by_at_most_one(g):
     d = distances(g)
     for u, v in g.edges:
-        assert (abs(d[u] - d[v]) <= 1).all()
+        assert all(abs(a - b) <= 1 for a, b in zip(d[u], d[v]))
 
 
 @given(connected_graphs)
 @settings(max_examples=40)
 def test_element_distance_matches_endpoint_minimum(g):
-    rows = _element_distances(g)
-    d = rows[:g.n]
+    rows = element_rows(g)
     for i, (u, v) in enumerate(g.edges):
-        assert (rows[g.n + i] == np.minimum(d[u], d[v])).all()
+        assert rows[g.n + i] == tuple(map(min, rows[u], rows[v]))
 
 
 @given(st.integers(2, 10), st.integers(0, 10**6))

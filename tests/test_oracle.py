@@ -223,15 +223,10 @@ graphs_up_to_10 = st.one_of(
 )
 
 
-@pytest.mark.parametrize("cells", [1, oracle._PAIR_CELLS])
 @given(g=graphs_up_to_10)
-@settings(max_examples=60, deadline=None)
-def test_search_matches_the_enumeration(cells, g):
-    # One cell per block builds the constraints a single element row at a time.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_PAIR_CELLS", cells)
-        got = brute_force_mdim(g)
-    assert got == reference_brute_force_mdim(g)
+@settings(max_examples=120, deadline=None)
+def test_search_matches_the_enumeration(g):
+    assert brute_force_mdim(g) == reference_brute_force_mdim(g)
 
 
 def test_certifies_a_three_hundred_cycle_cactus():

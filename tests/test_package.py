@@ -1,4 +1,4 @@
-"""Package-wide rules: real raises, resolvable public names, numpy only with the oracle."""
+"""Package-wide rules: real raises, resolvable public names, no numpy."""
 
 import ast
 import os
@@ -13,6 +13,7 @@ import mixedmetric
 SRC = Path(mixedmetric.__file__).resolve().parent
 ENV = {**os.environ, "PYTHONPATH": str(SRC.parent)}
 TADPOLE = "6 6\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n"
+K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
 
 def test_no_assert_statements_in_the_package():
@@ -31,21 +32,12 @@ def test_star_import_resolves_every_public_name():
     assert set(mixedmetric.__all__) <= set(namespace)
 
 
-def test_oracle_names_resolve_on_first_use():
-    from mixedmetric import FailingPair, brute_force_mdim
-    from mixedmetric import oracle
-
-    assert FailingPair is oracle.FailingPair and brute_force_mdim is oracle.brute_force_mdim
-    assert set(mixedmetric.__all__) <= set(dir(mixedmetric))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        mixedmetric.no_such_name
-
-
-def _loads_numpy(tmp_path, statements: str) -> bool:
+def _loads_numpy(tmp_path, statements: str, preamble: str = "") -> bool:
     """Run the statements in a fresh interpreter; True when numpy got imported."""
     (tmp_path / "tadpole.txt").write_text(TADPOLE)
+    (tmp_path / "k4.txt").write_text(K4)
     (tmp_path / "malformed.txt").write_text("6 x\n")
-    code = f"import sys\n{statements}\nprint('numpy' in sys.modules)"
+    code = f"import sys\n{preamble}{statements}\nprint('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -56,40 +48,57 @@ def _cli(argv, code=0):
     return f"from mixedmetric import cli\nif cli.run({argv!r}) != {code}: sys.exit(9)"
 
 
+FORMULA_VERBS = {
+    "classify": ["classify", "tadpole.txt"],
+    "dim": ["dim", "tadpole.txt", "--json"],
+    "bounds": ["bounds", "tadpole.txt"],
+    "conjecture-cactus": ["conjecture", "--count", "3", "--cactus", "--out", "c.jsonl"],
+}
+SEARCH_VERBS = {
+    "verify": ["verify", "tadpole.txt", "--set", "1,2,5"],
+    "oracle": ["oracle", "tadpole.txt"],
+    "generator": ["generator", "tadpole.txt"],
+    "dim-force-oracle": ["dim", "tadpole.txt", "--force-oracle"],
+    "dim-force-oracle-k4": ["dim", "k4.txt", "--force-oracle"],
+    # Density-1 graphs are no cacti, so the campaign runs the oracle's search.
+    "conjecture-general": ["conjecture", "--count", "3", "--n-range", "4..6", "--density", "1",
+                           "--out", "c.jsonl"],
+}
+
+
 @pytest.mark.parametrize("statements", [
     "import mixedmetric",
     "import mixedmetric.structure",
-    _cli(["classify", "tadpole.txt"]),
-    _cli(["dim", "tadpole.txt", "--json"]),
-    _cli(["bounds", "tadpole.txt"]),
+    *(_cli(argv) for argv in FORMULA_VERBS.values()),
     _cli(["dim", "malformed.txt"], code=1),
-], ids=["import", "structure", "classify", "dim", "bounds", "dim-malformed"])
+], ids=["import", "structure", *FORMULA_VERBS, "dim-malformed"])
 def test_formula_path_leaves_numpy_unloaded(tmp_path, statements):
     assert not _loads_numpy(tmp_path, statements)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "tadpole.txt", "--set", "1,2,5"],
-    ["oracle", "tadpole.txt"],
-    ["generator", "tadpole.txt"],
-    ["dim", "tadpole.txt", "--force-oracle"],
-], ids=["verify", "oracle", "generator", "dim-force-oracle"])
-def test_search_and_verification_load_numpy(tmp_path, argv):
-    assert _loads_numpy(tmp_path, _cli(argv))
+@pytest.mark.parametrize("argv", SEARCH_VERBS.values(), ids=SEARCH_VERBS)
+def test_search_and_verification_leave_numpy_unloaded(tmp_path, argv):
+    assert not _loads_numpy(tmp_path, _cli(argv))
 
 
-def test_only_the_oracle_imports_numpy_at_module_level():
+@pytest.mark.parametrize("argv", [*FORMULA_VERBS.values(), *SEARCH_VERBS.values()],
+                         ids=[*FORMULA_VERBS, *SEARCH_VERBS])
+def test_every_verb_runs_where_numpy_cannot_import(tmp_path, argv):
+    # A None entry in sys.modules makes `import numpy` raise ImportError;
+    # _loads_numpy fails unless the verb exits 0.
+    _loads_numpy(tmp_path, _cli(argv), preamble="sys.modules['numpy'] = None\n")
+
+
+def test_no_module_imports_numpy():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                prefix = "." * node.level
-                modules = ([prefix + node.module] if node.module
-                           else [prefix + alias.name for alias in node.names])
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
             else:
                 continue
-            if any(m.split(".")[0] == "numpy" or m == ".oracle" for m in modules):
-                found.append(path.name)
-    assert found == ["oracle.py"]
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
