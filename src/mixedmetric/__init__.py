@@ -17,7 +17,6 @@ from .conjecture import (
     evaluate_conjecture,
     random_cactus,
     random_connected_graph,
-    random_tree,
     run_campaign,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .graph import (
     Graph,
     GraphStats,
     build_graph,
-    canonical_edge,
     graph_stats,
 )
 from .oracle import (
@@ -88,8 +86,8 @@ __all__ = [
     "ParseError", "SearchResult", "SelfLoopError", "ThreeConnectedReport",
     "TooLargeError", "TooSmallError", "VertexOutOfRangeError", "augment_for_triple",
     "biconnected_blocks", "bound_report", "brute_force_mdim", "build_graph",
-    "build_min_generator", "canonical_edge", "check_3connected", "classify",
+    "build_min_generator", "check_3connected", "classify",
     "element_order", "evaluate_conjecture", "extract_cycles", "forced_vertices",
     "graph_stats", "has_geodesic_triple", "is_mixed_generator", "mdim_exact",
-    "random_cactus", "random_connected_graph", "random_tree", "run_campaign",
+    "random_cactus", "random_connected_graph", "run_campaign",
 ]

@@ -17,18 +17,11 @@ from typing import Sequence
 
 from .conjecture import CampaignConfig, run_campaign
 from .errors import (
-    CampaignFileError,
-    CycleExcludedError,
     DisconnectedError,
-    EmptySetError,
-    GraphBuildError,
-    InfeasibleEdgeCountError,
-    InfeasibleError,
-    InvalidSpecError,
     InvariantError,
+    MixedMetricError,
     NotACactusError,
     ParseError,
-    TooLargeError,
 )
 from .exact import GeneratorCertificate, MdimReport, bound_report, build_min_generator, mdim_exact
 from .graph import Element, Graph, build_graph
@@ -39,18 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STRUCTURAL = 2
 EXIT_INTERNAL = 3
-
-_STRUCTURAL_ERRORS = (
-    GraphBuildError,
-    NotACactusError,
-    TooLargeError,
-    CycleExcludedError,
-    InvalidSpecError,
-    InfeasibleEdgeCountError,
-    EmptySetError,
-    InfeasibleError,
-    CampaignFileError,
-)
 
 
 class _UsageError(Exception):
@@ -364,22 +345,18 @@ def run(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (_UsageError, ParseError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         # Not all of OSError: a BrokenPipeError must reach main.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _STRUCTURAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
     except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MixedMetricError as exc:
+        # Every other package error is a precondition the input failed.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 
 The bound mdim(G) <= L1(G) + 2 c(G) is a theorem on cacti and conjectured
 for every connected graph other than the bare cycle.  This module grows
-seeded random trees, cacti, and connected graphs, evaluates the bound with
+seeded random cacti and connected graphs, evaluates the bound with
 the formula (cactus inputs) or the exact oracle (everything else),
 and streams the verdicts to an append-only JSONL campaign file.
 """
@@ -137,15 +137,6 @@ def _prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree on n vertices, deterministic in seed."""
-    if n < 2:
-        raise TooSmallError(f"need at least 2 vertices, got {n}")
-    if n == 2:
-        return build_graph(2, [(0, 1)])
-    return build_graph(n, _prufer_edges(n, random.Random(seed)))
-
-
 def random_cactus(spec: CactusSpec) -> Graph:
     """Grow a random cactus by attaching cycles and pendant edges.
 
@@ -189,7 +180,11 @@ def random_cactus(spec: CactusSpec) -> Graph:
 
 
 def random_connected_graph(n: int, m: int, seed: int) -> Graph:
-    """Random spanning tree plus m - n + 1 distinct random chords."""
+    """Random spanning tree plus m - n + 1 distinct random chords.
+
+    The spanning tree is a uniform random labeled tree, deterministic in
+    seed, so m = n - 1 draws a uniform random tree.
+    """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
     if not n - 1 <= m <= n * (n - 1) // 2:

@@ -7,13 +7,16 @@ cycle oriented into a deterministic ring with its root positions marked.
 The module also decides geodesic-triple questions on a ring.  Three ring
 positions form a geodesic triple exactly when the three arcs they cut have
 length at most floor(L/2) each, which is equivalent to their pairwise ring
-distances summing to the full ring length L.
+distances summing to the full ring length L.  A set of marks holds a triple
+exactly when it has at least three marks and no gap between cyclically
+consecutive marks exceeds floor(L/2).  The gaps sum to L, so at most one
+exceeds floor(L/2), and a mark at its middle splits it into two that do
+not: the delta term adds at most one vertex per cycle.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -169,8 +172,8 @@ def decompose(g: Graph) -> Decomposition:
     """The block structure of g, found on the first call and kept on g.
 
     A Graph is immutable, so later calls on the same object return the
-    stored result, as Graph.edge_set does.  Two threads racing on a fresh
-    graph both compute an equal result, and either one may stay.
+    stored result.  Two threads racing on a fresh graph both compute an
+    equal result, and either one may stay.
     """
     d = g.__dict__.get("_decomposition")
     if d is None:
@@ -228,7 +231,11 @@ def extract_cycles(g: Graph) -> tuple[CycleInfo, ...]:
 def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:
     """True when three marked ring positions cut arcs of length <= floor(L/2).
 
-    False whenever fewer than three positions are marked.
+    That holds exactly when at least three positions are marked and no gap
+    between cyclically consecutive marks exceeds floor(L/2).  Each gap lies
+    inside one arc of any triple.  Conversely, a mark a, the farthest mark b
+    at most floor(L/2) past a, and the mark after b form a triple (starting
+    from the mark after a should that third mark be a itself).
     """
     points = sorted(set(marked))
     if points and not 0 <= points[0] <= points[-1] < length:
@@ -236,18 +243,8 @@ def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:
     if len(points) < 3:
         return False
     half = length // 2
-    # Pair scan: for sorted x < y the third point z must land in a window.
-    for i, x in enumerate(points):
-        z_floor = x + length - half
-        for j in range(i + 1, len(points)):
-            y = points[j]
-            if y - x > half:
-                break
-            lo = max(y + 1, z_floor)
-            k = bisect_left(points, lo)
-            if k < len(points) and points[k] <= y + half:
-                return True
-    return False
+    return (points[0] + length - points[-1] <= half
+            and all(b - a <= half for a, b in zip(points, points[1:])))
 
 
 def augment_for_triple(length: int, marked: Iterable[int],

@@ -11,6 +11,8 @@ import pytest
 from mixedmetric import (
     CactusSpec,
     DisconnectedError,
+    InvariantError,
+    MixedMetricError,
     ParseError,
     SelfLoopError,
     random_cactus,
@@ -211,6 +213,29 @@ class TestExitCodes:
                             lambda g: type("R", (), {"total": 99})())
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 3
         assert "invariant" in capsys.readouterr().err
+
+    def test_every_package_error_has_its_exit_code(self, graph_file, capsys, monkeypatch):
+        # The codes follow the error hierarchy, so a new error class needs no list entry.
+        import mixedmetric.cli as cli_mod
+        import mixedmetric.errors as errors_mod
+
+        classes = [c for c in vars(errors_mod).values() if isinstance(c, type)
+                   and issubclass(c, MixedMetricError) and c is not MixedMetricError]
+        path = graph_file(P3)
+        codes, messages = {}, {}
+        for error in classes:
+            exc = error(7, "boom") if error is ParseError else error("boom")
+
+            def raise_it(g, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli_mod, "classify", raise_it)
+            codes[error] = run(["classify", path])
+            messages[error] = capsys.readouterr().err
+        assert DisconnectedError in codes
+        assert codes == {error: {ParseError: 1, InvariantError: 3}.get(error, 2)
+                         for error in classes}
+        assert all("boom" in text for text in messages.values())
 
     def test_construction_mismatch_is_three_under_optimize(self, graph_file):
         # -O strips asserts; the construction check must still fire.

@@ -21,7 +21,6 @@ from mixedmetric import (
     graph_stats,
     random_cactus,
     random_connected_graph,
-    random_tree,
     run_campaign,
 )
 
@@ -30,23 +29,25 @@ from reference import reference_random_connected_graph
 
 
 class TestRandomTree:
+    # A tree is a connected graph with m = n - 1, which samples no chords.
+
     def test_two_vertices_is_the_single_edge(self):
-        assert random_tree(2, seed=5).edges == ((0, 1),)
+        assert random_connected_graph(2, 1, 5).edges == ((0, 1),)
 
     def test_edge_count(self):
-        g = random_tree(5, seed=7)
+        g = random_connected_graph(5, 4, 7)
         assert g.m == 4 and classify(g).tag is GraphClassTag.TREE
 
     def test_deterministic_in_seed(self):
-        assert random_tree(9, seed=3).edges == random_tree(9, seed=3).edges
+        assert random_connected_graph(9, 8, 3).edges == random_connected_graph(9, 8, 3).edges
 
     def test_seeds_vary_the_tree(self):
-        shapes = {random_tree(8, seed=s).edges for s in range(20)}
+        shapes = {random_connected_graph(8, 7, s).edges for s in range(20)}
         assert len(shapes) > 10
 
     def test_too_small(self):
         with pytest.raises(TooSmallError):
-            random_tree(1, seed=0)
+            random_connected_graph(1, 0, 0)
 
 
 class TestRandomCactus:

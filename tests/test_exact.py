@@ -20,7 +20,7 @@ from mixedmetric import (
     graph_stats,
     mdim_exact,
     random_cactus,
-    random_tree,
+    random_connected_graph,
 )
 
 from graphs import bowtie, complete, cycle, cycle_with_pendants, path, star, tadpole
@@ -211,7 +211,7 @@ def test_total_between_leaf_count_and_bound(g):
 @given(st.integers(2, 10), st.integers(0, 10**6))
 @settings(max_examples=30)
 def test_trees_need_exactly_their_leaves(n, seed):
-    g = random_tree(n, seed)
+    g = random_connected_graph(n, n - 1, seed)
     assert mdim_exact(g).total == graph_stats(g).l1
 
 

@@ -19,7 +19,6 @@ from mixedmetric import (
     bound_report,
     build_graph,
     build_min_generator,
-    canonical_edge,
     check_3connected,
     classify,
     evaluate_conjecture,
@@ -36,6 +35,10 @@ from graphs import bowtie, complete, cycle, path, tadpole
 
 # --- independent test oracles -------------------------------------------
 
+def edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
 def ring_distance(length, i, j):
     return min(abs(i - j), length - abs(i - j))
 
@@ -47,6 +50,13 @@ def triple_by_distance_sum(length, marked):
         + ring_distance(length, c, a) == length
         for a, b, c in combinations(sorted(marked), 3)
     )
+
+
+def small_mark_sets():
+    """Every set of marked positions on every ring of length 3 to 12."""
+    for length in range(3, 13):
+        for mask in range(1 << length):
+            yield length, [p for p in range(length) if mask >> p & 1]
 
 
 def minimal_augment_brute(length, marked, forbidden=()):
@@ -62,7 +72,7 @@ def minimal_augment_brute(length, marked, forbidden=()):
 
 def components_without_ring_edges(g, ring):
     """Connected components of the graph after deleting the ring's edges."""
-    skip = {canonical_edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))}
+    skip = {edge(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))}
     comp = [-1] * g.n
     label = 0
     for start in range(g.n):
@@ -73,7 +83,7 @@ def components_without_ring_edges(g, ring):
         while queue:
             v = queue.popleft()
             for w in g.adjacency[v]:
-                if comp[w] < 0 and canonical_edge(v, w) not in skip:
+                if comp[w] < 0 and edge(v, w) not in skip:
                     comp[w] = label
                     queue.append(w)
         label += 1
@@ -123,7 +133,7 @@ class TestClassify:
 def test_blocks_match_networkx(n, extra, seed):
     g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed)
     h = nx.Graph(list(g.edges))
-    expected = {frozenset(canonical_edge(u, v) for u, v in comp)
+    expected = {frozenset(edge(u, v) for u, v in comp)
                 for comp in nx.biconnected_component_edges(h)}
     assert set(biconnected_blocks(g)) == expected
 
@@ -159,9 +169,10 @@ class TestExtractCycles:
 
     def test_consecutive_ring_entries_adjacent(self):
         g = random_cactus(CactusSpec(3, (3, 7), 4, seed=99))
+        edges = set(g.edges)
         for c in extract_cycles(g):
             for i in range(c.length):
-                assert g.has_edge(c.ring[i], c.ring[(i + 1) % c.length])
+                assert edge(c.ring[i], c.ring[(i + 1) % c.length]) in edges
 
     @given(random_cacti)
     @settings(max_examples=40, deadline=None)
@@ -241,6 +252,11 @@ class TestGeodesicTriple:
         with pytest.raises(ValueError):
             has_geodesic_triple(5, {0, 5, 2})
 
+    def test_gap_rule_matches_the_definition_on_every_small_ring(self):
+        # All 8,184 mark sets on rings of length 3 to 12.
+        for length, marked in small_mark_sets():
+            assert has_geodesic_triple(length, marked) == triple_by_distance_sum(length, marked)
+
     @given(st.integers(3, 24), st.lists(st.integers(0, 23), max_size=12))
     @settings(max_examples=300)
     def test_matches_distance_sum_definition(self, length, raw):
@@ -276,6 +292,16 @@ class TestAugmentForTriple:
     def test_forbidden_positions_avoided(self):
         added = augment_for_triple(8, {0, 1}, forbidden={4})
         assert added == {5}
+
+    def test_marks_without_a_triple_need_one_more(self):
+        # The gap rule's corollary: of three or more marks, at most one gap
+        # exceeds floor(L/2), and a mark at its middle closes it, so the
+        # delta term adds one vertex per cycle.
+        cases = [(length, marked) for length, marked in small_mark_sets()
+                 if len(marked) >= 3 and not triple_by_distance_sum(length, marked)]
+        assert len(cases) == 878
+        for length, marked in cases:
+            assert len(augment_for_triple(length, marked)) == 1
 
     def test_infeasible_when_blocked(self):
         with pytest.raises(InfeasibleError):
