@@ -77,6 +77,10 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
     seen: set[Edge] = set()
     neighbors: list[list[int]] = [[] for _ in range(n)]
+    # One int object per vertex id, shared by the adjacency and the edges:
+    # ids past 256 are not cached by Python, so each input occurrence and
+    # each enumerate() would otherwise be an int of its own.
+    ids = list(range(n))
     for pair in edge_list:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
@@ -87,8 +91,8 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"edge {e} listed twice")
         seen.add(e)
-        neighbors[u].append(v)
-        neighbors[v].append(u)
+        neighbors[u].append(ids[v])
+        neighbors[v].append(ids[u])
     # The edges are read off the adjacency below, so free these tuples
     # first: at n = 1.65e4 they would add about 1.4 MB to the peak.
     del seen
@@ -103,7 +107,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     # Read off the sorted adjacency, the edges come out in sorted order.
     return Graph(
         n=n,
-        edges=tuple((u, v) for u, a in enumerate(adjacency) for v in a if u < v),
+        edges=tuple((u, v) for u, a in zip(ids, adjacency) for v in a if u < v),
         adjacency=adjacency,
     )
 

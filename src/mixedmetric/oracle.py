@@ -7,11 +7,15 @@ k sources at once over Python ints used as bitsets (_element_codes).  An
 element's code holds in field L (bits L k .. L k + k - 1) the sources at
 distance exactly L, so two elements have equal codes exactly when their
 distance profiles are equal; an edge's code follows from its endpoints'.
-Verification searches from the members of S only, _CHUNK at a time in
-depth-first preorder, and compares codes exactly, with no all-pairs
-matrix: O(|S| / _CHUNK levels (n + m)) operations on ints of up to
-_CHUNK levels bits, and O(_CHUNK levels (n + m)) bits of memory, where
-levels is the largest distance from a member.
+The search yields the codes level by level, and after level L they hold
+fields 0..L of the whole codes.  Verification searches from the members
+of S only, _CHUNK at a time in depth-first preorder, and compares codes
+exactly, with no all-pairs matrix: O(|S| / _CHUNK levels (n + m))
+operations on ints of up to _CHUNK levels bits, and O(_CHUNK levels
+(n + m)) bits of memory, where levels is the largest distance from a
+member.  The last chunk's search stops at the first checked level whose
+cut codes already tell every element apart, so a generator pays that
+chunk's levels only up to there; a failing set pays every level.
 
 The exact dimension is a minimum hitting set (the set-cover view of
 Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
@@ -40,8 +44,9 @@ from .graph import Element, Graph, graph_stats, preorder
 # about _CHUNK levels (n + m) bits.  256 checks every set perfbench
 # certifies in one pass (its 120-cycle cacti need |S| <= 242 over 200
 # seeds).  The |S| = 5600 certificate of the n = 16299 cactus of
-# CactusSpec(3000, (3, 8), 3000, 12345) checked in 15.3 s at 71 MB peak RSS
-# with 128, 13.8 s at 86 MB with 256 and 11.3 s at 133 MB with 512.
+# CactusSpec(3000, (3, 8), 3000, 12345) checked in 7.6 s at 66 MB peak RSS
+# with 128, 5.8-6.0 s at 85 MB with 256 and 4.6 s at 132 MB with 512, in
+# one quiet period of a 2-core x86 VM whose speed varies by up to 2.5x.
 _CHUNK = 256
 
 
@@ -81,8 +86,12 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     Searches breadth-first from the members only, _CHUNK of them at a
     time, and refines one class label per element with each chunk's codes,
     so two elements end in one class exactly when their whole profiles
-    agree.  Time O(|S| / _CHUNK levels (n + m)) operations on ints of up to
-    _CHUNK levels bits, memory O(_CHUNK levels (n + m)) bits.
+    agree.  The last chunk's search stops at the first of levels 1, 2, 4,
+    8, ... where the codes cut there already tell every element apart.
+    Time O(|S| / _CHUNK levels (n + m)) operations on ints of up to _CHUNK
+    levels bits, where a generator's last chunk counts levels only up to
+    that stop and a failing set counts every level; memory O(_CHUNK
+    levels (n + m)) bits.
     """
     order = _checked_members(g, members)
     if len(order) > _CHUNK:
@@ -94,7 +103,19 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     bits = (g.n + g.m).bit_length()
     labels: list[int] = []
     for start in range(0, len(order), _CHUNK):
-        codes = _element_codes(g, order[start:start + _CHUNK])
+        sources = order[start:start + _CHUNK]
+        k = len(sources)
+        last = start + _CHUNK >= len(order)
+        for level, codes in enumerate(_element_codes(g, sources)):
+            # The last chunk checks levels 1, 2, 4, 8, ...  Codes cut after
+            # a level are exact prefixes of the whole codes, so if they tell
+            # every element apart, so do the whole profiles.  Earlier chunks
+            # need every level for their labels, and checking every level
+            # cost more than it saved.
+            if last and level and not level & (level - 1) and _separated(g, codes, k, labels, bits):
+                return True, None
+        # Extended in place: a copy would hold the codes twice at the peak.
+        codes += _edge_codes(g, codes, k)
         if labels:
             # Keys are ints, not (label, code) tuples, which the collector
             # tracks, and are packed in place, so no second list is built.
@@ -117,13 +138,38 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     return False, FailingPair(elements[first], elements[second])
 
 
-def _element_codes(g: Graph, sources: Sequence[int]) -> list[int]:
-    """Distance code of every element, in element_order, from distinct sources.
+def _separated(g: Graph, codes: list[int], k: int, labels: list[int], bits: int) -> bool:
+    """Whether vertex codes cut after some level, with their edges' and the
+    earlier chunks' labels, tell every element apart.
 
-    Bit L k + i of a code (k = len(sources)) is set when the element lies at
-    distance exactly L from sources[i].  Adjacent vertices differ by at most
-    one level and an edge lies at the nearer endpoint's, so with X the OR of
-    its endpoints' codes an edge's code is X & ~(X << k).
+    The edges' keys are added one at a time, so a check that an edge fails
+    stops there instead of building every edge's code.
+    """
+    n = g.n
+    if labels:
+        keys = {code << bits | label for code, label in zip(codes, labels)}
+    else:
+        keys = set(codes)
+    if len(keys) < n:
+        return False
+    edges = _edge_codes(g, codes, k)
+    if labels:
+        edges = (code << bits | label for code, label in zip(edges, labels[n:]))
+    for key in edges:
+        if key in keys:
+            return False
+        keys.add(key)
+    return True
+
+
+def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[list[int]]:
+    """Distance codes of the vertices from distinct sources, level by level.
+
+    Bit L k + i of a code (k = len(sources)) is set when the vertex lies at
+    distance exactly L from sources[i].  Yields one list, in vertex order,
+    after level 0 and after each later level that reaches a vertex; the
+    list is updated in place, so after level L it holds fields 0..L of
+    every code, and the whole codes once the generator is exhausted.
 
     Level-synchronous: cur[v] holds the sources whose search reached v at
     the current level, nxt[v] those reaching it at the next, and unreached[v]
@@ -140,7 +186,8 @@ def _element_codes(g: Graph, sources: Sequence[int]) -> list[int]:
         unreached[s] ^= 1 << i
     frontier = list(sources)
     shift = 0
-    while frontier:
+    while True:
+        yield code
         shift += k
         reached = []
         for u in frontier:
@@ -153,12 +200,25 @@ def _element_codes(g: Graph, sources: Sequence[int]) -> list[int]:
                     if not nxt[v]:
                         reached.append(v)
                     nxt[v] |= new
+        if not reached:
+            return
         for v in reached:
             code[v] |= nxt[v] << shift
         frontier = reached
         cur, nxt = nxt, cur
-    code += [(x := code[u] | code[v]) & ~(x << k) for u, v in g.edges]
-    return code
+
+
+def _edge_codes(g: Graph, codes: list[int], k: int) -> Iterator[int]:
+    """Codes of the edges, in g.edges order, from their endpoints' codes.
+
+    Adjacent vertices differ by at most one level and an edge lies at the
+    nearer endpoint's, so with X the OR of its endpoints' codes an edge's
+    code is X & ~(X << k).  Its field L needs only fields L and L - 1 of
+    X, so vertex codes cut after a level give the edges' codes cut there.
+    Lazy, and it reads only the first g.n entries, so a caller may extend
+    the vertex codes with it in place.
+    """
+    return ((x := codes[u] | codes[v]) & ~(x << k) for u, v in g.edges)
 
 
 def forced_vertices(g: Graph) -> frozenset[int]:
@@ -189,7 +249,9 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
     if g.n > max_n:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
     forced = forced_vertices(g)
-    constraints = _constraints(_element_codes(g, range(g.n)), g.n, forced)
+    *_, codes = _element_codes(g, range(g.n))
+    codes += _edge_codes(g, codes, g.n)
+    constraints = _constraints(codes, g.n, forced)
     candidates = [v for v in range(g.n) if v not in forced]
     nodes = count(1)
     for k in range(max(len(forced), 1), g.n + 1):

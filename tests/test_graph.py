@@ -14,7 +14,7 @@ from mixedmetric import (
     graph_stats,
     random_connected_graph,
 )
-from mixedmetric.oracle import _element_codes
+from mixedmetric.oracle import _edge_codes, _element_codes
 
 from graphs import bowtie, complete, cycle, path, star
 from reference import _element_rows
@@ -33,6 +33,15 @@ class TestBuildGraph:
         for u in range(g.n):
             for v in g.adjacency[u]:
                 assert u in g.adjacency[v]
+
+    def test_one_int_object_per_vertex(self):
+        # Parsed ints past 256 are fresh objects at each occurrence; the
+        # graph keeps one per vertex id, and its edges reuse the adjacency's.
+        n = 600
+        g = build_graph(n, [(int(str(i)), int(str((i + 1) % n))) for i in range(n)])
+        held = {id(v) for a in g.adjacency for v in a}
+        assert len(held) == n
+        assert all(id(u) in held and id(v) in held for u, v in g.edges)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -74,9 +83,15 @@ def decode(codes, k):
     return rows
 
 
+def element_codes(g, sources):
+    """The oracle's codes in element_order: its search run to the last level, then the edges'."""
+    *_, codes = _element_codes(g, sources)
+    return codes + list(_edge_codes(g, codes, len(sources)))
+
+
 def element_rows(g):
     # The package's one BFS, from every vertex: one row per element, in element_order.
-    return decode(_element_codes(g, range(g.n)), g.n)
+    return decode(element_codes(g, range(g.n)), g.n)
 
 
 def distances(g):
@@ -157,8 +172,26 @@ def test_distances_match_networkx(g):
 def test_codes_from_some_sources_match_networkx(g, data):
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
     rows = _element_rows(g)
-    assert decode(_element_codes(g, sources), len(sources)) == [
+    assert decode(element_codes(g, sources), len(sources)) == [
         tuple(row[s] for s in sources) for row in rows]
+
+
+@given(connected_graphs, st.data())
+@settings(max_examples=60)
+def test_each_level_gives_exact_prefixes(g, data):
+    # After level L every vertex code, and so every edge code, holds
+    # fields 0..L of its whole code, and the levels end at the last one
+    # that reaches a vertex.
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    k = len(sources)
+    whole = element_codes(g, sources)
+    levels = 0
+    for level, codes in enumerate(_element_codes(g, sources)):
+        cut = (1 << (level + 1) * k) - 1
+        assert codes + list(_edge_codes(g, codes, k)) == [code & cut for code in whole]
+        levels = level
+    top = max(whole)
+    assert top >> levels * k and not top >> (levels + 1) * k
 
 
 @given(connected_graphs)

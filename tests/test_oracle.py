@@ -237,3 +237,106 @@ def test_certifies_a_three_hundred_cycle_cactus():
     # A minimum generator has no spare member.
     ok, pair = is_mixed_generator(g, cert.vertices[1:])
     assert ok is False and pair is not None
+
+
+# brute_force_mdim's value, witness, constraint count and search nodes on
+# seeded density-0.4 graphs: the search shares the verifier's BFS, and a
+# change there must not move the campaign's search.
+@pytest.mark.parametrize("n, m, seed, value, witness, constraints, nodes", [
+    (14, 36, 1, 7, (0, 2, 3, 4, 8, 9, 10), 38, 47),
+    (14, 36, 2, 7, (0, 1, 4, 7, 8, 9, 10), 34, 50),
+    (16, 48, 3, 8, (0, 1, 2, 6, 8, 13, 14, 15), 45, 67),
+    (20, 76, 2, 10, (1, 2, 3, 4, 6, 7, 8, 10, 11, 17), 115, 1001),
+])
+def test_search_work_is_pinned(monkeypatch, n, m, seed, value, witness, constraints, nodes):
+    import itertools
+
+    counters, built = [], []
+    real = oracle._constraints
+
+    def counting(start):
+        counters.append(itertools.count(start))
+        return counters[-1]
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "count", counting)
+    monkeypatch.setattr(oracle, "_constraints", recording)
+    result = brute_force_mdim(random_connected_graph(n, m, seed), max_n=20)
+    assert (result.value, result.witness) == (value, witness)
+    assert [len(c) for c in built] == [constraints]
+    assert sum(next(c) - 1 for c in counters) == nodes
+
+
+_element_codes = oracle._element_codes
+
+
+def levels_drawn(monkeypatch):
+    """Record, per chunk, how many levels is_mixed_generator draws from the BFS."""
+    drawn = []
+
+    def counting(g, sources):
+        drawn.append(0)
+        for codes in _element_codes(g, sources):
+            drawn[-1] += 1
+            yield codes
+
+    monkeypatch.setattr(oracle, "_element_codes", counting)
+    return drawn
+
+
+def all_levels(g, sources):
+    return sum(1 for _ in _element_codes(g, sources))
+
+
+@pytest.mark.parametrize("width", [1, 3, oracle._CHUNK])
+@pytest.mark.parametrize("cycles, seed", [(20, 1), (30, 2), (45, 3)])
+def test_early_stop_matches_the_reference_on_cacti(monkeypatch, width, cycles, seed):
+    # n in the 100s, where a certificate's codes tell every element apart
+    # levels before the BFS ends.  Dropping a member makes the set fail,
+    # so that search runs every level and names the reference's pair.
+    g = random_cactus(CactusSpec(cycles, (3, 8), cycles, seed))
+    assert 100 < g.n < 300
+    cert = build_min_generator(g).vertices
+    monkeypatch.setattr(oracle, "_CHUNK", width)
+    for members in [cert] + [cert[:i] + cert[i + 1:] for i in range(0, len(cert), 11)]:
+        assert is_mixed_generator(g, members) == reference_is_mixed_generator(g, members)
+
+
+def test_a_certificate_stops_before_the_last_level(monkeypatch):
+    g = random_cactus(CactusSpec(30, (3, 8), 30, 2))
+    cert = build_min_generator(g).vertices
+    drawn = levels_drawn(monkeypatch)
+    assert is_mixed_generator(g, cert) == (True, None)
+    assert drawn[0] < all_levels(g, sorted(cert))
+    # A set that fails still runs every level.
+    drawn.clear()
+    assert is_mixed_generator(g, cert[1:])[0] is False
+    assert drawn == [all_levels(g, sorted(cert[1:]))]
+
+
+@pytest.mark.parametrize("n, drawn_levels", [(10, 9), (12, 12)])
+def test_path_leaves_separate_only_near_the_last_level(monkeypatch, n, drawn_levels):
+    # Vertex 0 and edge (0, 1) agree on leaf 0 and differ on leaf n - 1
+    # only at level n - 2, one short of the last level n - 1.  For n = 10
+    # that is level 8, a checked level; for n = 12 it is level 10, so
+    # only the run to the last level tells them apart.
+    g = path(n)
+    drawn = levels_drawn(monkeypatch)
+    assert is_mixed_generator(g, {0, n - 1}) == (True, None)
+    assert drawn == [drawn_levels]
+    assert all_levels(g, [0, n - 1]) == n
+    assert reference_is_mixed_generator(g, {0, n - 1}) == (True, None)
+
+
+def test_early_check_keys_every_element_with_earlier_labels(monkeypatch):
+    # On the path 0-1-2 against {1, 2}, vertex 1 and edge (0, 1) share the
+    # profile (0, 1), and every other pair is told apart by level 1.  With
+    # one member per chunk, an early check that packed the first chunk's
+    # labels into the edges' keys but not the vertices' would pass the set.
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+    expected = reference_is_mixed_generator(path(3), {1, 2})
+    assert expected == (False, (1, (0, 1)))
+    assert is_mixed_generator(path(3), {1, 2}) == expected
