@@ -44,7 +44,6 @@ print("d(edge (1,2) -> 3):", min(dist[1][3], dist[2][3]))
 stats = graph_stats(bowtie)
 print("\nleaves:", sorted(stats.leaf_set), "| l1 =", stats.l1)
 print("cyclomatic number m - n + 1 =", stats.cyclomatic)
-print("minimum degree:", stats.min_degree)
 print("3-connected?", stats.is_3_connected)
 
 # Compare with a graph that actually is 3-connected.

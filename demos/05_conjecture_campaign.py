@@ -10,8 +10,8 @@ from pathlib import Path
 from mixedmetric import (
     CampaignConfig,
     build_graph,
-    check_3connected,
     evaluate_conjecture,
+    graph_stats,
     run_campaign,
 )
 
@@ -21,7 +21,8 @@ record = evaluate_conjecture(k4)
 print("K4:", json.dumps(record.to_dict(), sort_keys=True))
 
 # 3-connected graphs satisfy the strict form mdim < 2c outright.
-print("K4 strict 3-connected check:", check_3connected(k4))
+print("K4 3-connected:", graph_stats(k4).is_3_connected,
+      "| strict mdim < 2c:", record.mdim < 2 * record.cyclomatic)
 
 # A seeded campaign streams one JSONL record per graph and is replayable:
 # the same config always produces the same bytes, and an interrupted file

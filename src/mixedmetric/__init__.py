@@ -12,8 +12,6 @@ from .conjecture import (
     CampaignConfig,
     CampaignSummary,
     ConjectureRecord,
-    ThreeConnectedReport,
-    check_3connected,
     evaluate_conjecture,
     random_cactus,
     random_connected_graph,
@@ -27,7 +25,6 @@ from .errors import (
     EmptySetError,
     GraphBuildError,
     InfeasibleEdgeCountError,
-    InfeasibleError,
     InvalidSpecError,
     InvariantError,
     MixedMetricError,
@@ -81,13 +78,12 @@ __all__ = [
     "ConjectureRecord", "CycleExcludedError", "CycleInfo", "CycleTerm",
     "DisconnectedError", "DuplicateEdgeError", "Edge", "Element", "EmptySetError",
     "FailingPair", "GeneratorCertificate", "Graph", "GraphBuildError", "GraphClass",
-    "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InfeasibleError",
-    "InvalidSpecError", "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError",
-    "ParseError", "SearchResult", "SelfLoopError", "ThreeConnectedReport",
-    "TooLargeError", "TooSmallError", "VertexOutOfRangeError", "augment_for_triple",
-    "biconnected_blocks", "bound_report", "brute_force_mdim", "build_graph",
-    "build_min_generator", "check_3connected", "classify",
-    "element_order", "evaluate_conjecture", "extract_cycles", "forced_vertices",
-    "graph_stats", "has_geodesic_triple", "is_mixed_generator", "mdim_exact",
-    "random_cactus", "random_connected_graph", "run_campaign",
+    "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InvalidSpecError",
+    "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError", "ParseError",
+    "SearchResult", "SelfLoopError", "TooLargeError", "TooSmallError",
+    "VertexOutOfRangeError", "augment_for_triple", "biconnected_blocks", "bound_report",
+    "brute_force_mdim", "build_graph", "build_min_generator", "classify", "element_order",
+    "evaluate_conjecture", "extract_cycles", "forced_vertices", "graph_stats",
+    "has_geodesic_triple", "is_mixed_generator", "mdim_exact", "random_cactus",
+    "random_connected_graph", "run_campaign",
 ]

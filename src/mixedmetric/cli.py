@@ -64,8 +64,15 @@ def parse_graph_file(path: str) -> Graph:
                 continue
             if len(fields) != 2:
                 raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+            a, b = fields
             try:
-                a, b = int(fields[0]), int(fields[1])
+                # A field is ASCII digits after an optional '-': int() alone
+                # would also read '+1', '1_0' and non-ASCII digits.  A doubled
+                # sign passes this test and fails in int().
+                if not (a.isascii() and b.isascii()
+                        and a.lstrip("-").isdigit() and b.lstrip("-").isdigit()):
+                    raise ValueError
+                a, b = int(a), int(b)
             except ValueError:
                 raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
             if header is None:

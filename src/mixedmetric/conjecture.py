@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import (
     CampaignFileError,
@@ -75,12 +76,6 @@ class ConjectureRecord:
             "gap": self.gap,
             "excluded": self.excluded,
         }
-
-
-@dataclass(frozen=True)
-class ThreeConnectedReport:
-    applicable: bool
-    strict: bool
 
 
 @dataclass(frozen=True)
@@ -215,12 +210,6 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _mdim_value(g: Graph, max_n: int) -> tuple[int, str]:
-    if classify(g).in_cactus_family:
-        return mdim_exact(g).total, "formula"
-    return brute_force_mdim(g, max_n=max_n).value, "oracle"
-
-
 def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     """Check mdim <= l1 + 2 * cyclomatic on one graph.
 
@@ -229,7 +218,10 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     """
     d = decompose(g)
     stats = d.stats
-    mdim, source = _mdim_value(g, max_n)
+    if d.graph_class.in_cactus_family:
+        mdim, source = mdim_exact(g).total, "formula"
+    else:
+        mdim, source = brute_force_mdim(g, max_n=max_n).value, "oracle"
     bound = stats.l1 + 2 * stats.cyclomatic
     return ConjectureRecord(
         graph_id=_graph_digest(g),
@@ -243,16 +235,6 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
         holds=mdim <= bound,
         gap=bound - mdim,
         excluded=d.graph_class.tag is GraphClassTag.CYCLE,
-    )
-
-
-def check_3connected(g: Graph, max_n: int = 16) -> ThreeConnectedReport:
-    """Probe the strict bound mdim < 2 * cyclomatic for 3-connected graphs."""
-    stats = decompose(g).stats
-    mdim, _ = _mdim_value(g, max_n)
-    return ThreeConnectedReport(
-        applicable=stats.is_3_connected,
-        strict=mdim < 2 * stats.cyclomatic,
     )
 
 
@@ -314,6 +296,9 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     )
 
 
+_RECORD_TYPES = get_type_hints(ConjectureRecord)
+
+
 def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]:
     records = []
     with path.open("rb") as fh:
@@ -326,6 +311,12 @@ def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]
                     raise ValueError("no line end")
                 # UnicodeDecodeError is a ValueError too.
                 record = ConjectureRecord(**json.loads(raw.decode("utf-8")))
+                # Each field has the exact type the writer gives it, so a
+                # null, a string or a float cannot pass for a count, nor
+                # true for an int.
+                if any(type(getattr(record, name)) is not kind
+                       for name, kind in _RECORD_TYPES.items()):
+                    raise TypeError("a field of the wrong type")
             except (ValueError, TypeError):
                 raise CampaignFileError(
                     f"{path}: line {lineno} is not a complete campaign record"

@@ -33,10 +33,6 @@ class NotACactusError(MixedMetricError):
     """The graph has a block that is neither an edge nor a cycle."""
 
 
-class InfeasibleError(MixedMetricError):
-    """No allowed set of ring positions completes a geodesic triple."""
-
-
 class CycleExcludedError(MixedMetricError):
     """The bound statement excludes a graph that is exactly a cycle."""
 

@@ -9,25 +9,19 @@ admit no triple costs one extra vertex.  The total is
 
 where delta counts the cycles needing the extra vertex.  Every public
 function reads the one decomposition structure.decompose keeps on the
-graph, and the construction of a certified minimum generator follows the
-report mdim_exact computes from it.
+graph.  The construction of a certified minimum generator follows the
+report mdim_exact computes from it: each cycle's part of the generator is
+one structure.augment_for_triple call, checked against its formula term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph
 from .oracle import is_mixed_generator
-from .structure import (
-    CycleInfo,
-    GraphClassTag,
-    augment_for_triple,
-    decompose,
-    has_geodesic_triple,
-)
+from .structure import GraphClassTag, augment_for_triple, decompose, has_geodesic_triple
 
 
 @dataclass(frozen=True)
@@ -73,14 +67,6 @@ class BoundReport:
     attained: bool
 
 
-def _cycle_terms(cycles: Iterable[CycleInfo]) -> tuple[CycleTerm, ...]:
-    terms = []
-    for i, c in enumerate(cycles):
-        needs = c.rt >= 3 and not has_geodesic_triple(c.length, c.root_positions)
-        terms.append(CycleTerm(cycle_id=i, rt=c.rt, max_term=max(3 - c.rt, 0), needs_delta=needs))
-    return tuple(terms)
-
-
 def mdim_exact(g: Graph) -> MdimReport:
     """Exact mixed metric dimension of a tree, unicyclic graph, or cactus.
 
@@ -90,7 +76,11 @@ def mdim_exact(g: Graph) -> MdimReport:
     if not d.graph_class.in_cactus_family:
         raise NotACactusError("exact formula applies to cacti only")
     l1 = d.stats.l1
-    terms = _cycle_terms(d.cycles)
+    terms = tuple(
+        CycleTerm(cycle_id=i, rt=c.rt, max_term=max(3 - c.rt, 0),
+                  needs_delta=c.rt >= 3 and not has_geodesic_triple(c.length, c.root_positions))
+        for i, c in enumerate(d.cycles)
+    )
     delta = sum(t.needs_delta for t in terms)
     total = l1 + sum(t.max_term for t in terms) + delta
     return MdimReport(l1=l1, per_cycle=terms, delta=delta, total=total)
@@ -99,12 +89,12 @@ def mdim_exact(g: Graph) -> MdimReport:
 def build_min_generator(g: Graph) -> GeneratorCertificate:
     """Construct and verify a minimum mixed metric generator of a cactus.
 
-    Every leaf goes in.  On a cycle with fewer than three roots, enough
-    non-root ring vertices are added for the activated positions to gain a
-    geodesic triple; on a cycle whose three-plus roots lack a triple, one
-    ring vertex completing a triple is added.  Choices are deterministic
-    (lexicographically smallest ring positions), and the result is checked
-    against the definition-level oracle.
+    Every leaf goes in (sa).  Each cycle then adds the one completion
+    augment_for_triple gives its roots, whose size must be the cycle's
+    max_term plus its delta: 3 - rt non-root vertices when rt < 3 (sb), one
+    vertex when three or more roots lack a triple (sc).  Choices are
+    deterministic (lexicographically smallest ring positions), and the
+    result is checked against the definition-level oracle.
     """
     report = mdim_exact(g)
     d = decompose(g)
@@ -113,26 +103,17 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
     sb: list[tuple[int, ...]] = []
     sc: list[tuple[int, ...]] = []
     for term, cycle in zip(report.per_cycle, d.cycles):
-        if term.max_term > 0:
-            added = augment_for_triple(cycle.length, cycle.root_positions,
-                                       forbidden=cycle.root_positions)
-            if len(added) != term.max_term:
-                raise InvariantError(
-                    f"cycle {term.cycle_id}: {len(added)} ring vertices added, "
-                    f"formula term is {term.max_term}"
-                )
-            sb.append(tuple(sorted(cycle.ring[p] for p in added)))
-        else:
-            sb.append(())
-        if term.needs_delta:
-            added = augment_for_triple(cycle.length, cycle.root_positions)
-            if len(added) != 1:
-                raise InvariantError(
-                    f"cycle {term.cycle_id}: {len(added)} delta vertices added, expected 1"
-                )
-            sc.append(tuple(sorted(cycle.ring[p] for p in added)))
-        else:
-            sc.append(())
+        expected = term.max_term + term.needs_delta
+        positions = augment_for_triple(cycle.length, cycle.root_positions) if expected else ()
+        if len(positions) != expected:
+            raise InvariantError(
+                f"cycle {term.cycle_id}: {len(positions)} ring vertices added, "
+                f"formula term is {expected}"
+            )
+        added = tuple(sorted(cycle.ring[p] for p in positions))
+        # needs_delta needs rt >= 3, where max_term is 0: one part stays empty.
+        sb.append(() if term.needs_delta else added)
+        sc.append(added if term.needs_delta else ())
 
     chosen = set(sa)
     chosen.update(v for part in sb for v in part)

@@ -58,7 +58,6 @@ class GraphStats:
     leaf_set: frozenset[int]
     l1: int
     cyclomatic: int
-    min_degree: int
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @cached_property
@@ -139,7 +138,6 @@ def graph_stats(g: Graph) -> GraphStats:
         leaf_set=leaves,
         l1=len(leaves),
         cyclomatic=g.m - g.n + 1,
-        min_degree=min(map(len, adjacency)),
         adjacency=adjacency,
     )
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InfeasibleError, NotACactusError
+from .errors import InvariantError, NotACactusError
 from .graph import Edge, Graph, GraphStats, graph_stats
 
 
@@ -247,27 +247,26 @@ def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:
             and all(b - a <= half for a, b in zip(points, points[1:])))
 
 
-def augment_for_triple(length: int, marked: Iterable[int],
-                       forbidden: Iterable[int] = ()) -> frozenset[int]:
-    """Smallest set of extra ring positions giving the marks a geodesic triple.
+def augment_for_triple(length: int, marked: Iterable[int]) -> frozenset[int]:
+    """Smallest set of unmarked ring positions giving the marks a geodesic triple.
 
-    Candidates avoid forbidden and already-marked positions.  Among the
-    minimum-cardinality solutions the lexicographically smallest index
-    tuple wins; at most three additions are ever needed.  Returns the empty
-    set when the marks already contain a triple.  Raises InfeasibleError
-    when forbidden positions block every augmentation.
+    Among the minimum-cardinality solutions the lexicographically smallest
+    index tuple wins.  By the gap rule that size is max(3 - |marks|, 0),
+    plus one when three or more marks hold no triple, so a cycle's whole
+    completion, its sb part or its sc vertex, is one call.  Returns the
+    empty set when the marks already hold a triple.  Raises ValueError for
+    a ring shorter than 3 or a mark outside it.
     """
+    if length < 3:
+        raise ValueError(f"a ring has at least 3 positions, got {length}")
     base = frozenset(marked)
     if has_geodesic_triple(length, base):
         return frozenset()
-    blocked = frozenset(forbidden)
-    candidates = [p for p in range(length) if p not in blocked and p not in base]
+    candidates = [p for p in range(length) if p not in base]
     for size in (1, 2, 3):
         if len(base) + size < 3:
             continue
         for extra in combinations(candidates, size):
             if has_geodesic_triple(length, base.union(extra)):
                 return frozenset(extra)
-    raise InfeasibleError(
-        f"no addition of up to 3 allowed positions completes a triple on C_{length}"
-    )
+    raise InvariantError(f"unreachable: the gap rule completes C_{length} with at most 3 positions")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,16 @@ class TestParseGraphFile:
             parse_graph_file(graph_file("3 2\n0 x\n1 2\n"))
         with pytest.raises(ParseError, match="line 3"):
             parse_graph_file(graph_file("3 2\n0 1\n1 2 9\n"))
+
+    def test_only_ascii_decimal_integers(self, graph_file):
+        # int() reads all three: '0 1_0' would be the edge (0, 10) of an
+        # 11-vertex star, and the file would pass with mdim = 10.
+        star = "".join(f"0 {v}\n" for v in range(2, 11))
+        for spelling in ("1_0", "+1", "\u0661"):
+            text = f"11 10\n0 {spelling}\n{star}"
+            message = f"line 2: expected two integers, got '0 {spelling}'"
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse_graph_file(graph_file(text))
 
     def test_empty_file(self, graph_file):
         with pytest.raises(ParseError, match="header"):
@@ -258,6 +269,21 @@ class TestExitCodes:
                       ["--count", "2", "--density", "nan"]):
             assert run(["conjecture", "--out", out, *flags]) == 1, flags
         assert not (tmp_path / "c.jsonl").exists()
+
+    def test_wrongly_typed_campaign_record_is_two(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        argv = ["conjecture", "--count", "3", "--seed", "1", "--out", str(out)]
+        assert run(argv) == 0
+        for field, value in (("gap", None), ("holds", "yes")):
+            lines = out.read_text().splitlines(keepends=True)
+            lines[0] = json.dumps({**json.loads(lines[0]), field: value}) + "\n"
+            out.write_text("".join(lines))
+            written = out.read_bytes()
+            capsys.readouterr()
+            assert run(argv) == 2, field
+            err = capsys.readouterr().err
+            assert "line 1" in err and "Traceback" not in err
+            assert out.read_bytes() == written
 
     def test_truncated_campaign_file_is_two(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"

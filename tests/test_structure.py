@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 from mixedmetric import (
     CactusSpec,
     GraphClassTag,
-    InfeasibleError,
     NotACactusError,
     augment_for_triple,
     biconnected_blocks,
     bound_report,
     build_graph,
     build_min_generator,
-    check_3connected,
     classify,
     evaluate_conjecture,
     extract_cycles,
@@ -59,10 +57,10 @@ def small_mark_sets():
             yield length, [p for p in range(length) if mask >> p & 1]
 
 
-def minimal_augment_brute(length, marked, forbidden=()):
+def minimal_augment_brute(length, marked):
     """Reference enumeration: smallest lexicographic addition, sizes 1..3."""
     base = set(marked)
-    allowed = [p for p in range(length) if p not in forbidden and p not in base]
+    allowed = [p for p in range(length) if p not in base]
     for size in (1, 2, 3):
         for extra in combinations(allowed, size):
             if triple_by_distance_sum(length, base | set(extra)):
@@ -188,7 +186,6 @@ class TestExtractCycles:
     (classify, "cactus"), (classify, "general"), (extract_cycles, "cactus"),
     (mdim_exact, "cactus"), (bound_report, "cactus"), (build_min_generator, "cactus"),
     (evaluate_conjecture, "cactus"), (evaluate_conjecture, "general"),
-    (check_3connected, "general"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_each_public_call_finds_the_blocks_once(monkeypatch, call, graph):
     g = {"cactus": random_cactus(CactusSpec(3, (3, 6), 3, seed=7)),
@@ -222,7 +219,7 @@ def test_a_decomposed_graph_is_freed_without_the_cyclic_gc():
     gc.disable()
     try:
         for call in (mdim_exact, bound_report, build_min_generator, evaluate_conjecture,
-                     check_3connected):
+                     lambda g: structure.decompose(g).stats.is_3_connected):
             call(g)
         ref = weakref.ref(g)
         del g
@@ -289,10 +286,6 @@ class TestAugmentForTriple:
     def test_already_satisfied_needs_nothing(self):
         assert augment_for_triple(6, {0, 2, 4}) == frozenset()
 
-    def test_forbidden_positions_avoided(self):
-        added = augment_for_triple(8, {0, 1}, forbidden={4})
-        assert added == {5}
-
     def test_marks_without_a_triple_need_one_more(self):
         # The gap rule's corollary: of three or more marks, at most one gap
         # exceeds floor(L/2), and a mark at its middle closes it, so the
@@ -303,27 +296,29 @@ class TestAugmentForTriple:
         for length, marked in cases:
             assert len(augment_for_triple(length, marked)) == 1
 
-    def test_infeasible_when_blocked(self):
-        with pytest.raises(InfeasibleError):
-            augment_for_triple(3, set(), forbidden={0})
+    def test_completion_size_is_the_formula_term(self):
+        # The rule build_min_generator's one call per cycle relies on:
+        # max(3 - rt, 0) positions, plus one when three or more marks hold
+        # no triple, and never a marked position.
+        for length, marked in small_mark_sets():
+            added = augment_for_triple(length, marked)
+            needs_delta = len(marked) >= 3 and not triple_by_distance_sum(length, marked)
+            assert len(added) == max(3 - len(marked), 0) + needs_delta, (length, marked)
+            assert not added & set(marked)
 
-    @given(st.integers(3, 14), st.lists(st.integers(0, 13), max_size=5),
-           st.sets(st.integers(0, 13), max_size=4))
+    def test_short_ring_rejected(self):
+        with pytest.raises(ValueError):
+            augment_for_triple(2, ())
+
+    @given(st.integers(3, 14), st.lists(st.integers(0, 13), max_size=5))
     @settings(max_examples=200)
-    def test_matches_brute_enumeration(self, length, raw, forbidden_raw):
+    def test_matches_brute_enumeration(self, length, raw):
         marked = {p % length for p in raw}
-        forbidden = {p % length for p in forbidden_raw}
         if triple_by_distance_sum(length, marked):
             return
-        expected = minimal_augment_brute(length, marked, forbidden)
-        if expected is None:
-            with pytest.raises(InfeasibleError):
-                augment_for_triple(length, marked, forbidden)
-        else:
-            added = augment_for_triple(length, marked, forbidden)
-            assert set(added) == expected
-            assert has_geodesic_triple(length, marked | added)
-            assert not added & forbidden
+        added = augment_for_triple(length, marked)
+        assert set(added) == minimal_augment_brute(length, marked)
+        assert has_geodesic_triple(length, marked | added)
 
 
 @given(random_cacti)
