@@ -44,8 +44,3 @@ print("d(edge (1,2) -> 3):", min(dist[1][3], dist[2][3]))
 stats = graph_stats(bowtie)
 print("\nleaves:", sorted(stats.leaf_set), "| l1 =", stats.l1)
 print("cyclomatic number m - n + 1 =", stats.cyclomatic)
-print("3-connected?", stats.is_3_connected)
-
-# Compare with a graph that actually is 3-connected.
-k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-print("\nK4 3-connected?", graph_stats(k4).is_3_connected)

@@ -44,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _decimal(text: str) -> int:
+    """int(text) for ASCII digits after an optional '-'; ValueError otherwise.
+
+    int() alone would also read '+1', '1_0' and non-ASCII digits.  A doubled
+    sign passes the test here and fails in int().
+    """
+    if not (text.isascii() and text.lstrip("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_graph_file(path: str) -> Graph:
     """Read the edge-list format strictly; errors carry line numbers."""
     header: tuple[int, int] | None = None
@@ -64,15 +75,8 @@ def parse_graph_file(path: str) -> Graph:
                 continue
             if len(fields) != 2:
                 raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
-            a, b = fields
             try:
-                # A field is ASCII digits after an optional '-': int() alone
-                # would also read '+1', '1_0' and non-ASCII digits.  A doubled
-                # sign passes this test and fails in int().
-                if not (a.isascii() and b.isascii()
-                        and a.lstrip("-").isdigit() and b.lstrip("-").isdigit()):
-                    raise ValueError
-                a, b = int(a), int(b)
+                a, b = _decimal(fields[0]), _decimal(fields[1])
             except ValueError:
                 raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
             if header is None:
@@ -206,7 +210,7 @@ def _cmd_generator(args) -> int:
 
 def _parse_vertex_csv(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [_decimal(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise _UsageError(f"--set expects comma-separated integers, got {text!r}") from None
 
@@ -263,7 +267,7 @@ def _bounded(kind, low, high=float("inf")):
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = _decimal(lo.strip()), _decimal(hi.strip())
     except ValueError:
         raise _UsageError(f"--n-range expects 'a..b', got {text!r}") from None
     if lo > hi:

@@ -27,7 +27,7 @@ from .errors import (
     TooSmallError,
 )
 from .exact import mdim_exact
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, graph_stats
 from .oracle import brute_force_mdim
 from .structure import GraphClassTag, classify, decompose
 
@@ -63,19 +63,9 @@ class ConjectureRecord:
     excluded: bool
 
     def to_dict(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "n": self.n,
-            "m": self.m,
-            "l1": self.l1,
-            "cyclomatic": self.cyclomatic,
-            "mdim": self.mdim,
-            "mdim_source": self.mdim_source,
-            "bound": self.bound,
-            "holds": self.holds,
-            "gap": self.gap,
-            "excluded": self.excluded,
-        }
+        # vars, not dataclasses.asdict: asdict deep-copies each field and
+        # cost about 30 times as much per record.
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -101,13 +91,7 @@ class CampaignSummary:
     violations: tuple[ConjectureRecord, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "holds": self.holds,
-            "excluded": self.excluded,
-            "min_gap": self.min_gap,
-            "violations": [r.to_dict() for r in self.violations],
-        }
+        return {**vars(self), "violations": [r.to_dict() for r in self.violations]}
 
 
 def _prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -321,10 +305,31 @@ def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]
                 raise CampaignFileError(
                     f"{path}: line {lineno} is not a complete campaign record"
                 ) from None
-            if record.graph_id != _graph_digest(_campaign_graph(config, len(records))):
+            g = _campaign_graph(config, len(records))
+            if record.graph_id != _graph_digest(g):
                 raise CampaignFileError(
                     f"{path}: line {lineno} holds a graph this config does not generate "
                     "there (another seed, n range or strategy?)"
                 )
+            if not _consistent(record, g):
+                raise CampaignFileError(
+                    f"{path}: line {lineno} holds a record that contradicts its graph or itself"
+                )
             records.append(record)
     return records
+
+
+def _consistent(record: ConjectureRecord, g: Graph) -> bool:
+    """Whether a read record agrees with its graph and with itself.
+
+    Only mdim and its source are taken on trust: checking them would mean
+    solving the graph again.  A connected graph with one cycle and no leaf
+    is its cycle, the one graph a record excludes.
+    """
+    stats = graph_stats(g)
+    return ((record.n, record.m, record.l1, record.cyclomatic)
+            == (g.n, g.m, stats.l1, stats.cyclomatic)
+            and record.bound == record.l1 + 2 * record.cyclomatic
+            and record.gap == record.bound - record.mdim
+            and record.holds == (record.mdim <= record.bound)
+            and record.excluded == (record.l1 == 0 and record.cyclomatic == 1))

@@ -9,9 +9,7 @@ the package's one reachability walk, preorder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -48,22 +46,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Counting invariants of a connected graph.
-
-    It keeps the graph's adjacency for the 3-connectivity probe, not the
-    Graph: a decomposition stored on a Graph holds its stats, and a
-    reference back would make every such graph wait for the cyclic GC.
-    """
+    """Counting invariants of a connected graph."""
 
     leaf_set: frozenset[int]
     l1: int
     cyclomatic: int
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-    @cached_property
-    def is_3_connected(self) -> bool:
-        """Exhaustive pair-removal probe, run on first read only."""
-        return _is_3_connected(self.adjacency)
 
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
@@ -111,19 +98,17 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     )
 
 
-def preorder(adjacency: Sequence[Sequence[int]], start: int = 0,
-             removed: frozenset[int] = frozenset()) -> list[int]:
-    """Position of each vertex in a depth-first preorder from start.
+def preorder(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Position of each vertex in a depth-first preorder from vertex 0.
 
-    The walk never enters a removed vertex; a vertex it does not reach,
-    removed ones included, gets -1.
+    A vertex the walk does not reach gets -1.
     """
     position = [-1] * len(adjacency)
-    stack = [start]
+    stack = [0]
     visited = 0
     while stack:
         v = stack.pop()
-        if position[v] < 0 and v not in removed:
+        if position[v] < 0:
             position[v] = visited
             visited += 1
             stack.extend(adjacency[v])
@@ -131,26 +116,6 @@ def preorder(adjacency: Sequence[Sequence[int]], start: int = 0,
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """Leaf set, leaf count, cyclomatic number, and connectivity probes."""
-    adjacency = g.adjacency
-    leaves = frozenset(v for v, a in enumerate(adjacency) if len(a) == 1)
-    return GraphStats(
-        leaf_set=leaves,
-        l1=len(leaves),
-        cyclomatic=g.m - g.n + 1,
-        adjacency=adjacency,
-    )
-
-
-def _is_3_connected(adjacency: Sequence[Sequence[int]]) -> bool:
-    # Exhaustive pair removal is fine at desk scale.  Vertex connectivity is
-    # capped by the minimum degree, which rules out all cacti immediately.
-    n = len(adjacency)
-    if n < 4 or min(map(len, adjacency)) < 3:
-        return False
-    for u, v in combinations(range(n), 2):
-        removed = frozenset((u, v))
-        start = next(x for x in range(n) if x not in removed)
-        if preorder(adjacency, start, removed).count(-1) != 2:
-            return False
-    return True
+    """Leaf set, leaf count and cyclomatic number."""
+    leaves = frozenset(v for v, a in enumerate(g.adjacency) if len(a) == 1)
+    return GraphStats(leaf_set=leaves, l1=len(leaves), cyclomatic=g.m - g.n + 1)

@@ -17,8 +17,7 @@ not: the delta term adds at most one vertex per cycle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -131,41 +130,15 @@ def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
 class Decomposition:
     """Block structure of a connected graph, from one biconnected_blocks pass.
 
-    The class tag and the leaf statistics are fixed at construction.  The
-    cycle rings are built on first read, so a caller that only classifies
-    does not pay for them.  The Graph keeps its decomposition (see
-    decompose), so this keeps the graph's adjacency, not the Graph, and of
-    each cycle block only its vertex tuple, about a fifth of the block's
-    size.
+    cycles holds every cycle as a deterministic ring, sorted by ring tuple,
+    () for a tree, and is None for a graph outside the cactus family.  The
+    Graph keeps its decomposition (see decompose), so nothing here refers
+    back to it.
     """
 
     graph_class: GraphClass
     stats: GraphStats
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
-    cycle_vertices: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @cached_property
-    def cycles(self) -> tuple[CycleInfo, ...]:
-        """All cycles as deterministic rings, sorted by ring tuple; () for a tree.
-
-        Raises NotACactusError when some block is neither an edge nor a cycle.
-        """
-        if not self.graph_class.in_cactus_family:
-            raise NotACactusError("graph has a block that is not an edge or a cycle")
-        adjacency = self.adjacency
-        cycles = []
-        for vertices in self.cycle_vertices:
-            # In a cactus no edge joins two vertices of a cycle but the
-            # cycle's own, so a ring vertex has exactly two neighbours on it.
-            on = set(vertices)
-            start = min(vertices)
-            ring = [start, min(w for w in adjacency[start] if w in on)]
-            while len(ring) < len(vertices):
-                before = ring[-2]
-                ring.append(next(w for w in adjacency[ring[-1]] if w in on and w != before))
-            roots = frozenset(i for i, v in enumerate(ring) if len(adjacency[v]) >= 3)
-            cycles.append(CycleInfo(ring=tuple(ring), root_positions=roots))
-        return tuple(sorted(cycles, key=lambda c: c.ring))
+    cycles: tuple[CycleInfo, ...] | None
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -190,7 +163,7 @@ def _decompose(g: Graph) -> Decomposition:
     blocks = biconnected_blocks(g)
     # Each block is freed once read, so the vertex tuples do not add to the
     # peak the whole list sets (about 2.5 MB at n = 1.65e4).  Order does not
-    # matter: cycles sorts the rings.
+    # matter: the rings are sorted below.
     while blocks:
         block = blocks.pop()
         if len(block) >= 2:
@@ -202,16 +175,37 @@ def _decompose(g: Graph) -> Decomposition:
     stats = graph_stats(g)
     c = len(cycle_vertices)
     if c != fat:
-        tag = GraphClassTag.GENERAL
-    elif c == 0:
+        return Decomposition(GraphClass(GraphClassTag.GENERAL, c), stats, None)
+    if c == 0:
         tag = GraphClassTag.TREE
     elif c == 1:
         # A unicyclic graph without a leaf is its cycle.
         tag = GraphClassTag.UNICYCLIC if stats.l1 else GraphClassTag.CYCLE
     else:
         tag = GraphClassTag.CACTUS
-    return Decomposition(graph_class=GraphClass(tag, c), stats=stats,
-                         adjacency=g.adjacency, cycle_vertices=tuple(cycle_vertices))
+    adjacency = g.adjacency
+    rings = []
+    for vertices in cycle_vertices:
+        # In a cactus no edge joins two vertices of a cycle but the cycle's
+        # own, so a ring vertex has exactly two neighbours on it: the walk
+        # leaves each one by the neighbour it did not come from.
+        on = set(vertices)
+        start = min(vertices)
+        prev, cur = start, min(w for w in adjacency[start] if w in on)
+        ring = [start]
+        while cur != start:
+            ring.append(cur)
+            for w in adjacency[cur]:
+                if w != prev and w in on:
+                    prev, cur = cur, w
+                    break
+        rings.append(tuple(ring))
+    rings.sort()
+    cycles = tuple(
+        CycleInfo(ring, frozenset([i for i, v in enumerate(ring) if len(adjacency[v]) >= 3]))
+        for ring in rings
+    )
+    return Decomposition(GraphClass(tag, c), stats, cycles)
 
 
 def classify(g: Graph) -> GraphClass:
@@ -225,7 +219,10 @@ def extract_cycles(g: Graph) -> tuple[CycleInfo, ...]:
     Raises NotACactusError when some block is neither an edge nor a cycle.
     Returns () for a tree.
     """
-    return decompose(g).cycles
+    cycles = decompose(g).cycles
+    if cycles is None:
+        raise NotACactusError("graph has a block that is not an edge or a cycle")
+    return cycles
 
 
 def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:

@@ -202,7 +202,7 @@ def test_criterion_7_three_connected_strictness():
     details = []
     for name, g in cases.items():
         stats = graph_stats(g)
-        assert stats.is_3_connected, name
+        assert nx.node_connectivity(nx.Graph(g.edges)) >= 3, name
         value = brute_force_mdim(g).value
         details.append(f"{name}: {value} < {2 * stats.cyclomatic}")
         if value >= 2 * stats.cyclomatic:

@@ -93,6 +93,11 @@ class TestVerbs:
         assert run(["classify", graph_file(BOWTIE), "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"tag": "Cactus", "cycle_count": 2}
 
+    def test_classify_counts_the_cycle_blocks_of_a_general_graph(self, graph_file, capsys):
+        k4_and_triangle = K4.replace("4 6", "6 9", 1) + "3 4\n4 5\n5 3\n"
+        assert run(["classify", graph_file(k4_and_triangle)]) == 0
+        assert capsys.readouterr().out == "class: General\ncycles: 1\n"
+
     def test_dim_json_schema(self, graph_file, capsys):
         assert run(["dim", graph_file(BOWTIE), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -203,6 +208,28 @@ class TestExitCodes:
     def test_bad_set_argument_is_one(self, graph_file, capsys):
         assert run(["verify", graph_file(P3), "--set", "a,b"]) == 1
 
+    @pytest.mark.parametrize("spelling", ["1_0", "+10", "١٠"],
+                             ids=["underscore", "plus", "arabic-indic"])
+    def test_set_takes_only_ascii_decimal_integers(self, graph_file, capsys, spelling):
+        # int() reads each as vertex 10, which would complete the 11-vertex
+        # star's generator.
+        star = graph_file("11 10\n" + "".join(f"0 {v}\n" for v in range(1, 11)))
+        assert run(["verify", star, "--set", f"1,2,3,4,5,6,7,8,9,{spelling}"]) == 1
+        err = capsys.readouterr().err
+        assert f"--set expects comma-separated integers, got '1,2,3,4,5,6,7,8,9,{spelling}'" in err
+
+    def test_set_allows_spaces_around_its_integers(self, graph_file, capsys):
+        assert run(["verify", graph_file(P3), "--set", " 0, 2 "]) == 0
+        assert capsys.readouterr().out == "mixed metric generator: true\n"
+
+    @pytest.mark.parametrize("spelling", ["1_0..1_2", "+4..6", "٤..6"],
+                             ids=["underscore", "plus", "arabic-indic"])
+    def test_n_range_takes_only_ascii_decimal_integers(self, tmp_path, capsys, spelling):
+        out = tmp_path / "c.jsonl"
+        assert run(["conjecture", "--count", "1", "--n-range", spelling, "--out", str(out)]) == 1
+        assert f"--n-range expects 'a..b', got '{spelling}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_one(self, capsys):
         assert run(["classify", "/nonexistent/graph.txt"]) == 1
 
@@ -284,6 +311,22 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "line 1" in err and "Traceback" not in err
             assert out.read_bytes() == written
+
+    def test_contradictory_campaign_record_is_two(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        argv = ["conjecture", "--count", "3", "--seed", "1", "--out", str(out)]
+        assert run(argv) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        lines[0]["holds"] = False
+        lines[1]["gap"] = -7
+        out.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in lines))
+        written = out.read_bytes()
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1 holds a record that contradicts" in captured.err
+        assert out.read_bytes() == written
 
     def test_truncated_campaign_file_is_two(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"

@@ -1,5 +1,6 @@
 """Random generators, bound evaluation, and campaign files."""
 
+import hashlib
 import json
 
 import pytest
@@ -140,21 +141,14 @@ class TestEvaluateConjecture:
         with pytest.raises(TooLargeError):
             evaluate_conjecture(complete(6), max_n=5)
 
-    def test_classifies_once_and_skips_the_connectivity_probe(self, monkeypatch):
+    def test_classifies_once(self, monkeypatch):
         import mixedmetric.conjecture as conj_mod
-        import mixedmetric.graph as graph_mod
-
-        def probe(g):
-            raise RuntimeError("3-connectivity probed")
 
         calls = []
         real = conj_mod.decompose
-        monkeypatch.setattr(graph_mod, "_is_3_connected", probe)
         monkeypatch.setattr(conj_mod, "decompose", lambda g: calls.append(g) or real(g))
         rec = evaluate_conjecture(wheel(5))
         assert rec.mdim_source == "oracle" and len(calls) == 1
-        with pytest.raises(RuntimeError, match="probed"):
-            graph_stats(wheel(5)).is_3_connected
 
     @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -189,6 +183,19 @@ class TestRunCampaign:
         run_campaign(config_a)
         run_campaign(config_b)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("fields, digest", [
+        (dict(count=200, seed=0, n_range=(10, 14)),
+         "641219aedf854531f9c19ed86f1b81daae8a23c08fef42f04fa8888cd01a3d1a"),
+        (dict(count=300, seed=4, n_range=(6, 30), m_strategy="cactus"),
+         "5587147fdc00e297aa5a30f5b5d6f99aa894422615cf6597117e4207267f0510"),
+    ], ids=["general", "cactus"])
+    def test_pinned_campaigns_keep_their_bytes(self, tmp_path, fields, digest):
+        # The CLI's `conjecture --count 200 --seed 0 --n-range 10..14` and
+        # `--count 300 --seed 4 --cactus --n-range 6..30` write these files.
+        out = tmp_path / "pinned.jsonl"
+        run_campaign(CampaignConfig(output_path=str(out), **fields))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_resume_continues_the_seed_sequence(self, tmp_path):
         whole = tmp_path / "whole.jsonl"
@@ -255,6 +262,26 @@ class TestRunCampaign:
             with pytest.raises(CampaignFileError, match="line 2"):
                 run_campaign(config)
             assert out.read_bytes() == edited, field
+
+    def test_contradictory_record_is_rejected_untouched(self, tmp_path):
+        out = tmp_path / "edited.jsonl"
+        config = CampaignConfig(count=3, output_path=str(out), seed=1)
+        run_campaign(config)
+        lines = out.read_bytes().splitlines(keepends=True)
+        first = json.loads(lines[1])
+        # Types and graph_id still match, so only the values give these away.
+        # The last edit agrees with itself but not with the graph.
+        edits = [{"holds": not first["holds"]}, {"gap": -7}, {"bound": first["bound"] + 1},
+                 {"n": first["n"] + 1}, {"m": first["m"] + 1},
+                 {"cyclomatic": first["cyclomatic"] + 1}, {"excluded": not first["excluded"]},
+                 {"l1": first["l1"] + 1, "bound": first["bound"] + 2, "gap": first["gap"] + 2}]
+        for edit in edits:
+            edited = b"".join([lines[0], json.dumps({**first, **edit}).encode() + b"\n",
+                               lines[2]])
+            out.write_bytes(edited)
+            with pytest.raises(CampaignFileError, match="line 2 holds a record that contradicts"):
+                run_campaign(config)
+            assert out.read_bytes() == edited, edit
 
     def test_graph_past_the_cap_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
         import mixedmetric.conjecture as conj_mod
