@@ -47,12 +47,14 @@ class _Parser(argparse.ArgumentParser):
 def _decimal(text: str) -> int:
     """int(text) for ASCII digits after an optional '-'; ValueError otherwise.
 
-    int() alone would also read '+1', '1_0' and non-ASCII digits.  A doubled
-    sign passes the test here and fails in int().
+    int() alone would also read '+1', '1_0' and non-ASCII digits.  Spaces
+    around the digits are allowed, as int() allows them.  A doubled sign
+    passes the test here and fails in int().
     """
-    if not (text.isascii() and text.lstrip("-").isdigit()):
+    digits = text.strip()
+    if not (digits.isascii() and digits.lstrip("-").isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+    return int(digits)
 
 
 def parse_graph_file(path: str) -> Graph:
@@ -210,7 +212,7 @@ def _cmd_generator(args) -> int:
 
 def _parse_vertex_csv(text: str) -> list[int]:
     try:
-        return [_decimal(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+        return [_decimal(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise _UsageError(f"--set expects comma-separated integers, got {text!r}") from None
 
@@ -251,7 +253,7 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _bounded(kind, low, high=float("inf")):
+def _bounded(kind, low=float("-inf"), high=float("inf")):
     """Argparse type: `kind` parsed from text and kept within [low, high]."""
     def parse(text: str):
         value = kind(text)
@@ -260,14 +262,14 @@ def _bounded(kind, low, high=float("inf")):
             raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
         return value
     # Argparse names the type in its message for unparsable text.
-    parse.__name__ = kind.__name__
+    parse.__name__ = "int" if kind is _decimal else kind.__name__
     return parse
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        lo, hi = _decimal(lo.strip()), _decimal(hi.strip())
+        lo, hi = _decimal(lo), _decimal(hi)
     except ValueError:
         raise _UsageError(f"--n-range expects 'a..b', got {text!r}") from None
     if lo > hi:
@@ -315,7 +317,7 @@ def _build_parser() -> _Parser:
     dim = graph_command("dim", "exact dimension via the structural formula", _cmd_dim)
     dim.add_argument("--force-oracle", action="store_true",
                      help="use the exact oracle search (cross-checks the formula on cacti)")
-    dim.add_argument("--max-n", type=_bounded(int, 2), default=16,
+    dim.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                      help="oracle size cap (default 16)")
 
     graph_command("generator", "construct a certified minimum generator", _cmd_generator)
@@ -326,22 +328,23 @@ def _build_parser() -> _Parser:
 
     oracle = graph_command("oracle", "exact dimension of any connected graph by search",
                            _cmd_oracle)
-    oracle.add_argument("--max-n", type=_bounded(int, 2), default=16,
+    oracle.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                         help="search size cap (default 16)")
 
     graph_command("bounds", "leaf-plus-two-per-cycle bound report", _cmd_bounds)
 
     conj = sub.add_parser("conjecture", help="run a seeded random-graph campaign")
-    conj.add_argument("--count", type=_bounded(int, 0), required=True,
+    conj.add_argument("--count", type=_bounded(_decimal, 0), required=True,
                       help="number of graphs")
     conj.add_argument("--out", required=True, help="append-only JSONL result file")
-    conj.add_argument("--seed", type=int, default=0)
+    conj.add_argument("--seed", type=_bounded(_decimal), default=0)
     conj.add_argument("--n-range", default="4..10", metavar="A..B")
     conj.add_argument("--density", type=_bounded(float, 0, 1), default=0.4,
                       help="edge density fraction (default 0.4)")
-    conj.add_argument("--fixed-m", type=int, default=None, help="use a fixed edge count")
+    conj.add_argument("--fixed-m", type=_bounded(_decimal), default=None,
+                      help="use a fixed edge count")
     conj.add_argument("--cactus", action="store_true", help="sample random cacti instead")
-    conj.add_argument("--max-n", type=_bounded(int, 2), default=16,
+    conj.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                       help="oracle size cap (default 16)")
     conj.set_defaults(handler=_cmd_conjecture)
     return parser

@@ -29,7 +29,7 @@ from .errors import (
 from .exact import mdim_exact
 from .graph import Graph, build_graph, graph_stats
 from .oracle import brute_force_mdim
-from .structure import GraphClassTag, classify, decompose
+from .structure import GraphClassTag, decompose
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,12 @@ def random_cactus(spec: CactusSpec) -> Graph:
             n += length - 1
             edges.extend((ring[i], ring[(i + 1) % length]) for i in range(length))
     g = build_graph(n, edges)
-    # Drop the raw edge list before classifying, which sets this function's
+    # Drop the raw edge list before decomposing, which sets this function's
     # peak memory: at n = 1.65e4 the list holds about 1.4 MB.
     del edges
-    info = classify(g)
-    if not info.in_cactus_family or info.cycle_count != spec.cycle_count:
+    d = decompose(g)
+    if d.cycles is None or len(d.cycles) != spec.cycle_count:
+        info = d.graph_class
         raise InvariantError(
             f"grew a {info.tag.value} with {info.cycle_count} cycles from {spec}"
         )
@@ -202,7 +203,7 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     """
     d = decompose(g)
     stats = d.stats
-    if d.graph_class.in_cactus_family:
+    if d.cycles is not None:
         mdim, source = mdim_exact(g).total, "formula"
     else:
         mdim, source = brute_force_mdim(g, max_n=max_n).value, "oracle"

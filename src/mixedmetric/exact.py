@@ -73,7 +73,7 @@ def mdim_exact(g: Graph) -> MdimReport:
     Raises NotACactusError otherwise; general graphs need the oracle.
     """
     d = decompose(g)
-    if not d.graph_class.in_cactus_family:
+    if d.cycles is None:
         raise NotACactusError("exact formula applies to cacti only")
     l1 = d.stats.l1
     terms = tuple(
@@ -135,12 +135,11 @@ def bound_report(g: Graph) -> BoundReport:
     for a tree the bound equals the dimension outright.
     """
     d = decompose(g)
-    info = d.graph_class
-    if not info.in_cactus_family:
+    if d.cycles is None:
         raise NotACactusError("bound statement applies to cacti only")
-    if info.tag is GraphClassTag.CYCLE:
+    if d.graph_class.tag is GraphClassTag.CYCLE:
         raise CycleExcludedError("the bound excludes the bare cycle C_n")
     return BoundReport(
-        bound=d.stats.l1 + 2 * info.cycle_count,
+        bound=d.stats.l1 + 2 * len(d.cycles),
         attained=all(c.rt == 1 for c in d.cycles),
     )

@@ -1,9 +1,12 @@
 """Cactus recognition and per-cycle combinatorial structure.
 
 A cactus is a connected graph whose blocks are single edges or cycles.
-decompose finds the blocks once per graph and keeps what every consumer
-reads: the structural class, the leaf statistics and the cycles, each
-cycle oriented into a deterministic ring with its root positions marked.
+biconnected_blocks yields each block as the (tail, head) edges the depth-
+first search pushed, in push order; a cycle block's tails, in that order,
+are its ring.  decompose reads the blocks once per graph and keeps what
+every consumer reads: the structural class, the leaf statistics and the
+cycles, each cycle oriented into a deterministic ring with its root
+positions marked.
 The module also decides geodesic-triple questions on a ring.  Three ring
 positions form a geodesic triple exactly when the three arcs they cut have
 length at most floor(L/2) each, which is equivalent to their pairwise ring
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvariantError, NotACactusError
 from .graph import Edge, Graph, GraphStats, graph_stats
@@ -35,20 +38,10 @@ class GraphClassTag(enum.Enum):
     GENERAL = "General"
 
 
-#: Tags whose graphs the exact formula applies to.
-CACTUS_FAMILY = frozenset(
-    {GraphClassTag.TREE, GraphClassTag.CYCLE, GraphClassTag.UNICYCLIC, GraphClassTag.CACTUS}
-)
-
-
 @dataclass(frozen=True)
 class GraphClass:
     tag: GraphClassTag
     cycle_count: int
-
-    @property
-    def in_cactus_family(self) -> bool:
-        return self.tag in CACTUS_FAMILY
 
 
 @dataclass(frozen=True)
@@ -74,13 +67,24 @@ class CycleInfo:
         return len(self.root_positions)
 
 
-def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
-    """Blocks (maximal biconnected subgraphs) as an edge partition."""
+def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
+    """Yield the blocks (maximal biconnected subgraphs), each as it completes.
+
+    A block is the list of its edges in the order the depth-first search
+    from vertex 0 pushed them.  Each edge is a (tail, head) pair: a tree
+    edge points away from the root and a back edge to its ancestor.
+
+    A block of two or more edges has at least as many edges as vertices,
+    and as many only when it is a cycle.  Distinct tails allow no more
+    edges than vertices, and a cycle's tails are distinct: its tree edges
+    are a path from its first vertex, pushed in order, closed by its one
+    back edge.  So a block is a cycle exactly when it has two or more
+    edges and distinct tails, and its tails, in order, walk the ring.
+    """
     adjacency = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
     edge_stack: list[Edge] = []
-    blocks: list[frozenset[Edge]] = []
 
     # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
     # path is the DFS path from the root and pos[i] the index of the next
@@ -102,17 +106,17 @@ def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
                     # The block is the tree edge (u, v) and every edge pushed after it.
-                    first = (u, v) if u < v else (v, u)
                     k = len(edge_stack) - 1
-                    while edge_stack[k] != first:
+                    while edge_stack[k] != (u, v):
                         k -= 1
-                    blocks.append(frozenset(edge_stack[k:]))
+                    block = edge_stack[k:]
                     del edge_stack[k:]
+                    yield block
             continue
         pos[-1] = i + 1
         w = neighbors[i]
         if disc[w] < 0:
-            edge_stack.append((v, w) if v < w else (w, v))
+            edge_stack.append((v, w))
             disc[w] = low[w] = timer
             timer += 1
             path.append(w)
@@ -120,10 +124,9 @@ def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
         elif disc[w] < disc[v] and w != path[-2]:
             # A back edge.  At the root (disc 0) the first test fails, so
             # path[-2] is read only where it exists.
-            edge_stack.append((v, w) if v < w else (w, v))
+            edge_stack.append((v, w))
             if disc[w] < low[v]:
                 low[v] = disc[w]
-    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,21 +162,21 @@ def decompose(g: Graph) -> Decomposition:
 
 def _decompose(g: Graph) -> Decomposition:
     fat = 0
-    cycle_vertices = []
-    blocks = biconnected_blocks(g)
-    # Each block is freed once read, so the vertex tuples do not add to the
-    # peak the whole list sets (about 2.5 MB at n = 1.65e4).  Order does not
-    # matter: the rings are sorted below.
-    while blocks:
-        block = blocks.pop()
+    rings = []
+    for block in biconnected_blocks(g):
         if len(block) >= 2:
             fat += 1
-            vertices = {v for e in block for v in e}
-            # A block with as many edges as vertices is a cycle.
-            if len(vertices) == len(block):
-                cycle_vertices.append(tuple(vertices))
+            ring = [tail for tail, _ in block]
+            if len(set(ring)) == len(ring):
+                # A cycle: start at its lowest vertex, then turn toward the
+                # smaller of that vertex's ring neighbours.
+                i = ring.index(min(ring))
+                ring = ring[i:] + ring[:i]
+                if ring[-1] < ring[1]:
+                    ring[1:] = ring[:0:-1]
+                rings.append(tuple(ring))
     stats = graph_stats(g)
-    c = len(cycle_vertices)
+    c = len(rings)
     if c != fat:
         return Decomposition(GraphClass(GraphClassTag.GENERAL, c), stats, None)
     if c == 0:
@@ -184,22 +187,6 @@ def _decompose(g: Graph) -> Decomposition:
     else:
         tag = GraphClassTag.CACTUS
     adjacency = g.adjacency
-    rings = []
-    for vertices in cycle_vertices:
-        # In a cactus no edge joins two vertices of a cycle but the cycle's
-        # own, so a ring vertex has exactly two neighbours on it: the walk
-        # leaves each one by the neighbour it did not come from.
-        on = set(vertices)
-        start = min(vertices)
-        prev, cur = start, min(w for w in adjacency[start] if w in on)
-        ring = [start]
-        while cur != start:
-            ring.append(cur)
-            for w in adjacency[cur]:
-                if w != prev and w in on:
-                    prev, cur = cur, w
-                    break
-        rings.append(tuple(ring))
     rings.sort()
     cycles = tuple(
         CycleInfo(ring, frozenset([i for i, v in enumerate(ring) if len(adjacency[v]) >= 3]))

@@ -230,6 +230,32 @@ class TestExitCodes:
         assert f"--n-range expects 'a..b', got '{spelling}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["conjecture", "--count", "1_0"], ["conjecture", "--count", "٣"],
+        ["conjecture", "--count", "+2"], ["conjecture", "--count", "2", "--seed", "١"],
+        ["conjecture", "--count", "2", "--max-n", "1_6"],
+        ["conjecture", "--count", "2", "--n-range", "6..6", "--fixed-m", "1_2"],
+        ["oracle", "GRAPH", "--max-n", "1_6"], ["dim", "GRAPH", "--max-n", "١٦"],
+    ], ids=["count-underscore", "count-arabic-indic", "count-plus", "seed-arabic-indic",
+            "conjecture-max-n-underscore", "fixed-m-underscore", "oracle-max-n-underscore",
+            "dim-max-n-arabic-indic"])
+    def test_integer_flags_take_only_ascii_decimal_integers(self, graph_file, tmp_path, capsys,
+                                                            flags):
+        # int() reads each of these, so the call would run with exit code 0.
+        out = tmp_path / "c.jsonl"
+        argv = [graph_file(P3) if a == "GRAPH" else a for a in flags]
+        if argv[0] == "conjecture":
+            argv += ["--out", str(out)]
+        assert run(argv) == 1
+        flag, value = flags[-2:]
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_may_be_negative(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        assert run(["conjecture", "--count", "2", "--seed", "-3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
     def test_missing_file_is_one(self, capsys):
         assert run(["classify", "/nonexistent/graph.txt"]) == 1
 

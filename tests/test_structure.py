@@ -51,6 +51,33 @@ def triple_by_distance_sum(length, marked):
     )
 
 
+def oriented(cycle):
+    """A cycle's vertex list in the documented ring orientation.
+
+    Both directions start at the lowest vertex; the smaller tuple is the
+    one that turns toward the smaller neighbour.
+    """
+    k = cycle.index(min(cycle))
+    forward = tuple(cycle[k:] + cycle[:k])
+    return min(forward, forward[:1] + forward[:0:-1])
+
+
+def check_block_shape(block):
+    """What the rings read off a block of two or more edges.
+
+    With distinct tails each edge's head is the next edge's tail, cyclically,
+    so the block is a cycle walked in order.  A block that repeats a tail
+    has more edges than vertices.
+    """
+    if len(block) == 1:
+        return
+    tails = [tail for tail, _ in block]
+    if len(set(tails)) == len(block):
+        assert [head for _, head in block] == tails[1:] + tails[:1]
+    else:
+        assert len(block) > len({v for e in block for v in e})
+
+
 def small_mark_sets():
     """Every set of marked positions on every ring of length 3 to 12."""
     for length in range(3, 13):
@@ -141,7 +168,10 @@ def test_blocks_match_networkx(n, extra, seed):
     h = nx.Graph(list(g.edges))
     expected = {frozenset(edge(u, v) for u, v in comp)
                 for comp in nx.biconnected_component_edges(h)}
-    assert set(biconnected_blocks(g)) == expected
+    blocks = list(biconnected_blocks(g))
+    assert {frozenset(edge(u, v) for u, v in b) for b in blocks} == expected
+    for block in blocks:
+        check_block_shape(block)
 
 
 class TestExtractCycles:
@@ -179,6 +209,19 @@ class TestExtractCycles:
         for c in extract_cycles(g):
             for i in range(c.length):
                 assert edge(c.ring[i], c.ring[(i + 1) % c.length]) in edges
+
+    @given(random_cacti, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_rings_match_networkx_cycle_basis(self, g, rnd):
+        label = list(range(g.n))
+        rnd.shuffle(label)
+        g = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+        h = nx.Graph(g.edges)
+        cycles = extract_cycles(g)
+        # A cactus's cycles are edge-disjoint, so any cycle basis is all of them.
+        assert [c.ring for c in cycles] == sorted(oriented(c) for c in nx.cycle_basis(h))
+        for c in cycles:
+            assert c.root_positions == {i for i, v in enumerate(c.ring) if h.degree(v) >= 3}
 
     @given(random_cacti)
     @settings(max_examples=40, deadline=None)
@@ -331,9 +374,13 @@ class TestAugmentForTriple:
 @given(random_cacti)
 @settings(max_examples=40, deadline=None)
 def test_blocks_partition_edges(g):
-    blocks = biconnected_blocks(g)
-    counted = sorted(e for b in blocks for e in b)
+    blocks = list(biconnected_blocks(g))
+    counted = sorted(edge(u, v) for b in blocks for u, v in b)
     assert counted == sorted(g.edges)
+    for block in blocks:
+        # A cactus has no block but edges and cycles.
+        assert len({tail for tail, _ in block}) == len(block)
+        check_block_shape(block)
 
 
 @given(random_cacti)
