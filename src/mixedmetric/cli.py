@@ -65,22 +65,28 @@ def parse_graph_file(path: str) -> Graph:
     # Undecodable bytes become lone surrogates, so the line they sit on is known.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(lineno, "not UTF-8 text") from None
-            # split() and strip() cut at the same whitespace, so the first
-            # field starts with '#' exactly when the stripped line does.
             fields = raw.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != 2:
-                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
-            try:
-                a, b = _decimal(fields[0]), _decimal(fields[1])
-            except ValueError:
-                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
+            # The common line first: on ASCII text isdigit() accepts only
+            # 0-9, so int() reads these fields as _decimal would.
+            if (len(fields) == 2 and raw.isascii()
+                    and fields[0].isdigit() and fields[1].isdigit()):
+                a, b = int(fields[0]), int(fields[1])
+            else:
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError(lineno, "not UTF-8 text") from None
+                # split() and strip() cut at the same whitespace, so the first
+                # field starts with '#' exactly when the stripped line does.
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if len(fields) != 2:
+                    raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+                try:
+                    a, b = _decimal(fields[0]), _decimal(fields[1])
+                except ValueError:
+                    raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
             if header is None:
                 header = (a, b)
             elif len(edges) < header[1]:
@@ -341,8 +347,9 @@ def _build_parser() -> _Parser:
     conj.add_argument("--n-range", default="4..10", metavar="A..B")
     conj.add_argument("--density", type=_bounded(float, 0, 1), default=0.4,
                       help="edge density fraction (default 0.4)")
-    conj.add_argument("--fixed-m", type=_bounded(_decimal), default=None,
-                      help="use a fixed edge count")
+    conj.add_argument("--fixed-m", type=_bounded(_decimal, 0), default=None,
+                      help="use a fixed edge count, clamped per graph into "
+                           "[n - 1, n(n - 1)/2]")
     conj.add_argument("--cactus", action="store_true", help="sample random cacti instead")
     conj.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                       help="oracle size cap (default 16)")

@@ -9,12 +9,15 @@ the package's one reachability walk, preorder.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    InvariantError,
     SelfLoopError,
     TooSmallError,
     VertexOutOfRangeError,
@@ -57,16 +60,58 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Validate an edge list and return the canonical connected Graph.
 
     Raises TooSmallError, VertexOutOfRangeError, SelfLoopError,
-    DuplicateEdgeError, or DisconnectedError on bad input.
+    DuplicateEdgeError, or DisconnectedError on bad input.  A duplicate
+    edge is found as a repeated neighbour in the sorted adjacency.  Any
+    error names the first bad edge in input order, as a scan that checks
+    each edge in turn would, and a disconnected graph is reported only
+    when every edge is valid.
     """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
-    seen: set[Edge] = set()
+    if not isinstance(edge_list, (list, tuple)):
+        # A one-shot iterable: the error scan below may read it again.
+        edge_list = list(edge_list)
     neighbors: list[list[int]] = [[] for _ in range(n)]
     # One int object per vertex id, shared by the adjacency and the edges:
     # ids past 256 are not cached by Python, so each input occurrence and
     # each enumerate() would otherwise be an int of its own.
     ids = list(range(n))
+    valid = False
+    try:
+        for u, v in edge_list:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                break
+            neighbors[u].append(ids[v])
+            neighbors[v].append(ids[u])
+        else:
+            for a in neighbors:
+                a.sort()
+            adjacency = tuple(map(tuple, neighbors))
+            # Read off the sorted adjacency, the edges come out in sorted
+            # order, and an edge listed twice comes out twice in a row.
+            edges = tuple((u, v) for u, a in zip(ids, adjacency) for v in a if u < v)
+            valid = not any(map(operator.eq, edges, islice(edges, 1, None)))
+    except (TypeError, ValueError):
+        pass  # a malformed pair or id; the scan below names the first
+    if not valid:
+        _raise_first_bad_edge(n, edge_list, ids)
+
+    position = preorder(adjacency)
+    if min(position) < 0:
+        # index(-1) finds the smallest unreached vertex.
+        missing = position.index(-1)
+        raise DisconnectedError(f"vertex {missing} not reachable from vertex 0")
+    return Graph(n=n, edges=edges, adjacency=adjacency)
+
+
+def _raise_first_bad_edge(n: int, edge_list: Iterable[Sequence[int]], ids: list[int]) -> None:
+    """Raise the error of the first bad edge, checking each edge in turn.
+
+    build_graph's error path: it checks what build_graph's loop and its
+    duplicate test do, in input order, so the error is the one a single
+    checking pass would raise first.
+    """
+    seen: set[Edge] = set()
     for pair in edge_list:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
@@ -77,25 +122,10 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"edge {e} listed twice")
         seen.add(e)
-        neighbors[u].append(ids[v])
-        neighbors[v].append(ids[u])
-    # The edges are read off the adjacency below, so free these tuples
-    # first: at n = 1.65e4 they would add about 1.4 MB to the peak.
-    del seen
-
-    position = preorder(neighbors)
-    if min(position) < 0:
-        # index(-1) finds the smallest unreached vertex.
-        missing = position.index(-1)
-        raise DisconnectedError(f"vertex {missing} not reachable from vertex 0")
-
-    adjacency = tuple(tuple(sorted(a)) for a in neighbors)
-    # Read off the sorted adjacency, the edges come out in sorted order.
-    return Graph(
-        n=n,
-        edges=tuple((u, v) for u, a in zip(ids, adjacency) for v in a if u < v),
-        adjacency=adjacency,
-    )
+        # Indexed as build_graph indexes them, so an id that is no int
+        # fails at the same edge.
+        ids[u], ids[v]
+    raise InvariantError("the edge scan found no fault in an edge list build_graph refused")
 
 
 def preorder(adjacency: Sequence[Sequence[int]]) -> list[int]:

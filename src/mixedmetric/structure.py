@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import InvariantError, NotACactusError
+from .errors import NotACactusError
 from .graph import Edge, Graph, GraphStats, graph_stats
 
 
@@ -84,24 +83,36 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
     adjacency = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
+    parent = [-1] * g.n
     edge_stack: list[Edge] = []
 
     # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
-    # path is the DFS path from the root and pos[i] the index of the next
-    # neighbour of path[i] to scan, so path[-2] is the parent of path[-1].
+    # Each frame of the DFS path holds a vertex and the iterator over its
+    # neighbours, which resumes where the scan left off.
     disc[0] = low[0] = 0
     timer = 1
-    path = [0]
-    pos = [0]
+    path = [(0, iter(adjacency[0]))]
     while path:
-        v = path[-1]
-        i = pos[-1]
-        neighbors = adjacency[v]
-        if i == len(neighbors):
+        v, neighbors = path[-1]
+        # Scan v's neighbours until a tree edge leads down; the loop makes
+        # no call per neighbour, and the for-else runs once v is finished.
+        for w in neighbors:
+            if disc[w] < 0:
+                edge_stack.append((v, w))
+                disc[w] = low[w] = timer
+                timer += 1
+                parent[w] = v
+                path.append((w, iter(adjacency[w])))
+                break
+            if disc[w] < disc[v] and w != parent[v]:
+                # A back edge.  At the root (disc 0) the first test fails.
+                edge_stack.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
             path.pop()
-            pos.pop()
             if path:
-                u = path[-1]
+                u = parent[v]
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
@@ -112,21 +123,6 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
                     block = edge_stack[k:]
                     del edge_stack[k:]
                     yield block
-            continue
-        pos[-1] = i + 1
-        w = neighbors[i]
-        if disc[w] < 0:
-            edge_stack.append((v, w))
-            disc[w] = low[w] = timer
-            timer += 1
-            path.append(w)
-            pos.append(0)
-        elif disc[w] < disc[v] and w != path[-2]:
-            # A back edge.  At the root (disc 0) the first test fails, so
-            # path[-2] is read only where it exists.
-            edge_stack.append((v, w))
-            if disc[w] < low[v]:
-                low[v] = disc[w]
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,17 +236,34 @@ def augment_for_triple(length: int, marked: Iterable[int]) -> frozenset[int]:
     completion, its sb part or its sc vertex, is one call.  Returns the
     empty set when the marks already hold a triple.  Raises ValueError for
     a ring shorter than 3 or a mark outside it.
+
+    The completion is built from the gaps.  Below two marks, the smallest
+    free positions come first: any two points leave a third that completes
+    them, and it lies above both.  Two or more points without a triple
+    have one gap (a, b) longer than floor(L/2), unless they are two
+    antipodal points, which any free position completes.  The last
+    position is then the smallest one inside that gap that leaves both of
+    its parts at floor(L/2) or less.
     """
     if length < 3:
         raise ValueError(f"a ring has at least 3 positions, got {length}")
     base = frozenset(marked)
     if has_geodesic_triple(length, base):
         return frozenset()
-    candidates = [p for p in range(length) if p not in base]
-    for size in (1, 2, 3):
-        if len(base) + size < 3:
-            continue
-        for extra in combinations(candidates, size):
-            if has_geodesic_triple(length, base.union(extra)):
-                return frozenset(extra)
-    raise InvariantError(f"unreachable: the gap rule completes C_{length} with at most 3 positions")
+    # k < 3 marks leave at least 3 - k of 0, 1, 2 free, as many as needed.
+    free = [p for p in range(3) if p not in base]
+    added = free[:max(2 - len(base), 0)]
+    points = sorted(base.union(added))
+    half = length // 2
+    a, b = points[-1], points[0] + length
+    for x, y in zip(points, points[1:]):
+        if y - x > half:
+            a, b = x, y
+    if b - a <= half:
+        added.append(free[len(added)])
+    else:
+        # The positions b - half .. a + half, taken mod L; the smallest is
+        # 0 when that range passes L.
+        lo, hi = b - half, a + half
+        added.append(0 if lo < length <= hi else lo % length)
+    return frozenset(added)

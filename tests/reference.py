@@ -7,7 +7,10 @@ profiles, and the exact search enumerates vertex subsets by size.
 Quadratic in n and exponential in the dimension, so only for the small
 graphs the tests compare the package's oracle against.  The random graph
 draw lists every non-edge and samples that list, where the package's
-random_connected_graph samples ranks and maps them to pairs.
+random_connected_graph samples ranks and maps them to pairs.  The
+triple completion tries every combination of free ring positions, and the
+parser checks every line in full, where the package builds the completion
+from the gaps and reads a plain line of two digit runs directly.
 """
 
 import random
@@ -15,7 +18,15 @@ from itertools import combinations
 
 import networkx as nx
 
-from mixedmetric import FailingPair, SearchResult, build_graph, element_order
+from mixedmetric import (
+    DisconnectedError,
+    FailingPair,
+    ParseError,
+    SearchResult,
+    build_graph,
+    element_order,
+    has_geodesic_triple,
+)
 from mixedmetric.conjecture import _prufer_edges
 
 
@@ -77,3 +88,66 @@ def reference_random_connected_graph(n, m, seed):
         (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
     )
     return build_graph(n, tree + rng.sample(non_edges, m - (n - 1)))
+
+
+def reference_augment_for_triple(length, marked):
+    """augment_for_triple by trying free positions in combinations order.
+
+    Sizes upward from the fewest that can reach three marks; the first
+    combination whose union with the marks holds a triple wins.
+    """
+    base = frozenset(marked)
+    if has_geodesic_triple(length, base):
+        return frozenset()
+    candidates = [p for p in range(length) if p not in base]
+    for size in (1, 2, 3):
+        if len(base) + size < 3:
+            continue
+        for extra in combinations(candidates, size):
+            if has_geodesic_triple(length, base.union(extra)):
+                return frozenset(extra)
+    raise AssertionError(f"the gap rule completes C_{length} with at most 3 positions")
+
+
+def _decimal(text):
+    digits = text.strip()
+    if not (digits.isascii() and digits.lstrip("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(digits)
+
+
+def reference_parse_graph_file(path):
+    """parse_graph_file with every line taking the full check."""
+    header = None
+    edges = []
+    lineno = 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(lineno, "not UTF-8 text") from None
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 2:
+                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+            try:
+                a, b = _decimal(fields[0]), _decimal(fields[1])
+            except ValueError:
+                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
+            if header is None:
+                header = (a, b)
+            elif len(edges) < header[1]:
+                edges.append((a, b))
+            else:
+                raise ParseError(lineno, f"more than the declared {header[1]} edges")
+    if header is None:
+        raise ParseError(lineno + 1, "missing 'n m' header line")
+    if len(edges) != header[1]:
+        raise ParseError(lineno + 1, f"declared {header[1]} edges, found {len(edges)}")
+    n, m = header
+    if m < n - 1:
+        raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
+    return build_graph(n, edges)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedmetric import (
     CactusSpec,
@@ -19,6 +20,8 @@ from mixedmetric import (
     random_cactus,
 )
 from mixedmetric.cli import parse_graph_file, run
+
+from reference import reference_parse_graph_file
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
@@ -86,6 +89,65 @@ class TestParseGraphFile:
         monkeypatch.setattr(cli_mod, "build_graph", None)
         with pytest.raises(DisconnectedError, match="0 edges cannot connect"):
             parse_graph_file(graph_file("1000000000 0\n"))
+
+
+# Spellings the parser meets: digits with a sign, a leading zero, an
+# underscore, non-ASCII digits (Arabic-Indic, superscript) and junk.
+ODD_NUMBERS = ["+{}", "-{}", "0{}", "{}_0", "\u0661", "\u00b2", "{}\u0661", "--{}", "x"]
+# Separators and margins: split() cuts at every one of them.
+SEPARATORS = [" ", " ", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\xa0", "\u3000"]
+MARGINS = ["", "", "", " ", "\t", "\xa0", "\x1c"]
+# Lines the parser skips, listed twice to outweigh the lines it refuses.
+NOISE = 2 * [b"", b"   ", b"\t", b"\x0c", b"# comment", b"  # indented comment", b"\t#", b"#",
+             b"# caf\xc3\xa9"] + [b"7", b"1 2 3", b"x y", b"\xff\xfe1 2", b"1 \xc3",
+                                  "caf\u00e9 1".encode()]
+LINE_ENDS = [b"\n", b"\n", b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def edge_list_files(draw):
+    """Bytes of an edge-list file, mostly valid, with a few odd lines and spellings."""
+    n = draw(st.integers(2, 6))
+    # A path, perhaps cut in two, and a few random pairs.
+    gap = draw(st.sampled_from([None] * 3 + list(range(n - 1))))
+    pairs = [(u, u + 1) for u in range(n - 1) if u != gap]
+    pairs += draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=3))
+    records = [(n, len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1])))] + pairs
+    records = records[draw(st.sampled_from([0] * 8 + [1, len(records)])):]  # drop the header, or all
+    numbers = [x for record in records for x in record]
+    odd = draw(st.lists(st.integers(0, max(len(numbers) - 1, 0)), max_size=1))
+    spelled = [draw(st.sampled_from(ODD_NUMBERS)).format(x) if i in odd else str(x)
+               for i, x in enumerate(numbers)]
+    lines = [
+        (draw(st.sampled_from(MARGINS)) + a + draw(st.sampled_from(SEPARATORS)) + b
+         + draw(st.sampled_from(MARGINS))).encode()
+        for a, b in zip(spelled[::2], spelled[1::2])
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE)))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = b""  # no newline after the last line
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def parse_outcome(parse, path):
+    try:
+        g = parse(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.n, g.edges, g.adjacency
+
+
+@given(edge_list_files())
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_the_reference(tmp_path_factory, data):
+    # The fast branch for plain digit lines gives the same graph, or the
+    # same error class and message, as checking every line in full.
+    target = tmp_path_factory.getbasetemp() / "fuzzed-graph.txt"
+    target.write_bytes(data)
+    assert parse_outcome(parse_graph_file, str(target)) == \
+        parse_outcome(reference_parse_graph_file, str(target))
 
 
 class TestVerbs:
@@ -255,6 +317,18 @@ class TestExitCodes:
         out = tmp_path / "c.jsonl"
         assert run(["conjecture", "--count", "2", "--seed", "-3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
+
+    def test_negative_fixed_m_is_one(self, tmp_path, capsys):
+        # Clamped up to n - 1, -3 would run a tree campaign nobody asked for.
+        out = tmp_path / "c.jsonl"
+        argv = ["conjecture", "--count", "2", "--n-range", "5..6", "--out", str(out)]
+        assert run(argv + ["--fixed-m", "-3"]) == 1
+        assert "argument --fixed-m: must be at least 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+        # 0 still asks for trees, as m = n - 1 after clamping.
+        assert run(argv + ["--fixed-m", "0"]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 2 and all(r["m"] == r["n"] - 1 for r in records)
 
     def test_missing_file_is_one(self, capsys):
         assert run(["classify", "/nonexistent/graph.txt"]) == 1

@@ -64,6 +64,43 @@ class TestBuildGraph:
         with pytest.raises(VertexOutOfRangeError):
             build_graph(3, [(0, 1), (1, 3)])
 
+    @pytest.mark.parametrize("edge_list, error, message", [
+        ([(0, 1), (1, 0), (0, 5)], DuplicateEdgeError, "edge (0, 1) listed twice"),
+        ([(0, 5), (0, 1), (1, 0)], VertexOutOfRangeError, "edge (0, 5) outside [0, 3)"),
+        ([(1, 1), (0, 2), (2, 0)], SelfLoopError, "self-loop at vertex 1"),
+        ([(0, 2), (2, 0), (1, 1)], DuplicateEdgeError, "edge (0, 2) listed twice"),
+        ([(-1, 0), (1, 2), (2, 1)], VertexOutOfRangeError, "edge (-1, 0) outside [0, 3)"),
+        ([(1, 2), (2, 1), (0, -1)], DuplicateEdgeError, "edge (1, 2) listed twice"),
+        # A fault after a disconnected but otherwise valid list still wins.
+        ([(1, 2), (0, 0)], SelfLoopError, "self-loop at vertex 0"),
+        # Ids that are no ints and pairs of the wrong length keep their place.
+        ([(0, 1), (1, 0), (0, 1.5)], DuplicateEdgeError, "edge (0, 1) listed twice"),
+        ([(0, 1.5), (0, 1), (1, 0)], TypeError, "list indices must be integers or slices, not float"),
+        ([(0, 1), (1, 0), (2,)], DuplicateEdgeError, "edge (0, 1) listed twice"),
+        ([(2,), (0, 1), (1, 0)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+    ], ids=["duplicate-then-range", "range-then-duplicate", "loop-then-duplicate",
+            "duplicate-then-loop", "negative-then-duplicate", "duplicate-then-negative",
+            "loop-in-disconnected", "duplicate-then-float", "float-then-duplicate",
+            "duplicate-then-short-pair", "short-pair-then-duplicate"])
+    def test_error_names_the_first_bad_edge(self, edge_list, error, message):
+        with pytest.raises(error) as caught:
+            build_graph(3, edge_list)
+        assert str(caught.value) == message
+        # A one-shot iterable gives the same error.
+        with pytest.raises(error) as caught:
+            build_graph(3, iter(edge_list))
+        assert str(caught.value) == message
+
+    def test_generator_input_with_a_duplicate(self):
+        pairs = ((u, (u + 1) % 4) for u in (0, 1, 2, 3, 2))
+        with pytest.raises(DuplicateEdgeError, match=r"^edge \(2, 3\) listed twice$"):
+            build_graph(4, pairs)
+
+    def test_generator_input_builds(self):
+        g = build_graph(4, ((u, (u + 1) % 4) for u in range(4)))
+        assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
+
 
 def decode(codes, k):
     """Distance rows of the oracle's codes: a bit in field L means distance L."""

@@ -30,6 +30,7 @@ from mixedmetric import (
 )
 
 from graphs import bowtie, complete, cycle, path, tadpole
+from reference import reference_augment_for_triple
 
 
 # --- independent test oracles -------------------------------------------
@@ -356,9 +357,27 @@ class TestAugmentForTriple:
             assert len(added) == max(3 - len(marked), 0) + needs_delta, (length, marked)
             assert not added & set(marked)
 
+    def test_gap_built_completion_matches_the_combination_search(self):
+        # All 8,184 mark sets on rings of length 3 to 12, including those
+        # that already hold a triple.
+        for length, marked in small_mark_sets():
+            assert augment_for_triple(length, marked) == \
+                reference_augment_for_triple(length, marked), (length, marked)
+
+    @given(st.integers(3, 60), st.lists(st.integers(0, 59), max_size=6))
+    @settings(max_examples=300)
+    def test_matches_the_combination_search_on_longer_rings(self, length, raw):
+        marked = {p % length for p in raw}
+        assert augment_for_triple(length, marked) == reference_augment_for_triple(length, marked)
+
     def test_short_ring_rejected(self):
         with pytest.raises(ValueError):
             augment_for_triple(2, ())
+
+    def test_mark_outside_the_ring_rejected(self):
+        for marked in ({0, 1, 6}, {-1}, {6}):
+            with pytest.raises(ValueError):
+                augment_for_triple(6, marked)
 
     @given(st.integers(3, 14), st.lists(st.integers(0, 13), max_size=5))
     @settings(max_examples=200)
