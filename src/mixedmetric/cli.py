@@ -5,6 +5,9 @@ header line 'n m', then m lines 'u v' with 0-indexed endpoints.  Exit
 codes: 0 success, 1 usage or parse error, 2 structural precondition
 failure (not a cactus, too large, disconnected, ...), 3 internal
 invariant breach (formula disagreeing with the oracle; never expected).
+
+Each verb imports the modules it runs once its input is read, so a call
+loads only those and a malformed file loads none of them.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .conjecture import CampaignConfig, run_campaign
 from .errors import (
     DisconnectedError,
     InvariantError,
@@ -23,10 +25,10 @@ from .errors import (
     NotACactusError,
     ParseError,
 )
-from .exact import GeneratorCertificate, MdimReport, bound_report, build_min_generator, mdim_exact
 from .graph import Element, Graph, build_graph
-from .oracle import brute_force_mdim, is_mixed_generator
-from .structure import classify
+
+if TYPE_CHECKING:
+    from .exact import GeneratorCertificate, MdimReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +145,9 @@ def _vertex_list(vertices: Sequence[int]) -> str:
 
 
 def _cmd_classify(args) -> int:
-    info = classify(parse_graph_file(args.graph))
+    g = parse_graph_file(args.graph)
+    from .structure import classify
+    info = classify(g)
     if args.json:
         _emit({"tag": info.tag.value, "cycle_count": info.cycle_count})
     else:
@@ -166,7 +170,9 @@ def _print_report(report: MdimReport) -> None:
 
 def _cmd_dim(args) -> int:
     g = parse_graph_file(args.graph)
+    from .exact import mdim_exact
     if args.force_oracle:
+        from .oracle import brute_force_mdim
         result = brute_force_mdim(g, max_n=args.max_n)
         payload = {"source": "oracle", "total": result.value, "witness": list(result.witness)}
         try:
@@ -200,7 +206,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_generator(args) -> int:
-    cert = build_min_generator(parse_graph_file(args.graph))
+    g = parse_graph_file(args.graph)
+    from .exact import build_min_generator
+    cert = build_min_generator(g)
     if not cert.verified:
         raise InvariantError("constructed generator failed oracle verification")
     if args.json:
@@ -225,6 +233,7 @@ def _parse_vertex_csv(text: str) -> list[int]:
 
 def _cmd_verify(args) -> int:
     g = parse_graph_file(args.graph)
+    from .oracle import is_mixed_generator
     ok, pair = is_mixed_generator(g, _parse_vertex_csv(args.set))
     if args.json:
         _emit({
@@ -240,7 +249,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    result = brute_force_mdim(parse_graph_file(args.graph), max_n=args.max_n)
+    g = parse_graph_file(args.graph)
+    from .oracle import brute_force_mdim
+    result = brute_force_mdim(g, max_n=args.max_n)
     if args.json:
         _emit({"total": result.value, "witness": list(result.witness)})
     else:
@@ -250,7 +261,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bound_report(parse_graph_file(args.graph))
+    g = parse_graph_file(args.graph)
+    from .exact import bound_report
+    report = bound_report(g)
     if args.json:
         _emit({"bound": report.bound, "attained": report.attained})
     else:
@@ -290,11 +303,13 @@ def _cmd_conjecture(args) -> int:
         strategy = "cactus"
     else:
         strategy = "density"
+    n_range = _parse_range(args.n_range)
+    from .conjecture import CampaignConfig, run_campaign
     config = CampaignConfig(
         count=args.count,
         output_path=args.out,
         seed=args.seed,
-        n_range=_parse_range(args.n_range),
+        n_range=n_range,
         m_strategy=strategy,
         density=args.density,
         fixed_m=args.fixed_m,

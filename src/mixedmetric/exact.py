@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph
-from .oracle import is_mixed_generator
 from .structure import GraphClassTag, augment_for_triple, decompose, has_geodesic_triple
 
 
@@ -123,6 +122,8 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
         raise InvariantError(
             f"construction produced {len(vertices)} vertices, formula says {report.total}"
         )
+    # Imported here so that the formula alone (dim, bounds) never loads the oracle.
+    from .oracle import is_mixed_generator
     ok, _ = is_mixed_generator(g, vertices)
     return GeneratorCertificate(vertices=vertices, sa=sa, sb=tuple(sb), sc=tuple(sc), verified=ok)
 

@@ -321,7 +321,8 @@ def _first_hitting_set(candidates: Sequence[int], constraints: list[int],
         if need == 0 or pos + need > len(candidates):
             return None
         low = candidates[pos]
-        last = min(c.bit_length() for c in unhit) - 1
+        # The smallest non-negative int has the smallest bit length.
+        last = min(unhit).bit_length() - 1
         if last < low:
             return None
         # Disjoint constraints, restricted to the suffix, each need their own member.

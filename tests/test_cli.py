@@ -345,17 +345,17 @@ class TestExitCodes:
 
     def test_invariant_breach_is_three(self, graph_file, capsys, monkeypatch):
         # Forced disagreement: the breach path must map to exit code 3.
-        import mixedmetric.cli as cli_mod
+        import mixedmetric.exact as exact_mod
 
-        monkeypatch.setattr(cli_mod, "mdim_exact",
+        monkeypatch.setattr(exact_mod, "mdim_exact",
                             lambda g: type("R", (), {"total": 99})())
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 3
         assert "invariant" in capsys.readouterr().err
 
     def test_every_package_error_has_its_exit_code(self, graph_file, capsys, monkeypatch):
         # The codes follow the error hierarchy, so a new error class needs no list entry.
-        import mixedmetric.cli as cli_mod
         import mixedmetric.errors as errors_mod
+        import mixedmetric.structure as structure_mod
 
         classes = [c for c in vars(errors_mod).values() if isinstance(c, type)
                    and issubclass(c, MixedMetricError) and c is not MixedMetricError]
@@ -367,7 +367,7 @@ class TestExitCodes:
             def raise_it(g, exc=exc):
                 raise exc
 
-            monkeypatch.setattr(cli_mod, "classify", raise_it)
+            monkeypatch.setattr(structure_mod, "classify", raise_it)
             codes[error] = run(["classify", path])
             messages[error] = capsys.readouterr().err
         assert DisconnectedError in codes

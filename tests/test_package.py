@@ -1,4 +1,4 @@
-"""Package-wide rules: real raises, resolvable public names, no numpy."""
+"""Package-wide rules: real raises, resolvable public names, no numpy, lazy imports."""
 
 import ast
 import os
@@ -32,16 +32,20 @@ def test_star_import_resolves_every_public_name():
     assert set(mixedmetric.__all__) <= set(namespace)
 
 
-def _loads_numpy(tmp_path, statements: str, preamble: str = "") -> bool:
-    """Run the statements in a fresh interpreter; True when numpy got imported."""
+SUBMODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+
+
+def _loaded(tmp_path, statements: str, preamble: str = "") -> set[str]:
+    """Run the statements in a fresh interpreter; the numpy and mixedmetric modules it loaded."""
     (tmp_path / "tadpole.txt").write_text(TADPOLE)
     (tmp_path / "k4.txt").write_text(K4)
     (tmp_path / "malformed.txt").write_text("6 x\n")
-    code = f"import sys\n{preamble}{statements}\nprint('numpy' in sys.modules)"
+    code = (f"import sys\n{preamble}{statements}\n"
+            "print(*(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'mixedmetric')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def _cli(argv, code=0):
@@ -73,20 +77,60 @@ SEARCH_VERBS = {
     _cli(["dim", "malformed.txt"], code=1),
 ], ids=["import", "structure", *FORMULA_VERBS, "dim-malformed"])
 def test_formula_path_leaves_numpy_unloaded(tmp_path, statements):
-    assert not _loads_numpy(tmp_path, statements)
+    assert "numpy" not in _loaded(tmp_path, statements)
 
 
 @pytest.mark.parametrize("argv", SEARCH_VERBS.values(), ids=SEARCH_VERBS)
 def test_search_and_verification_leave_numpy_unloaded(tmp_path, argv):
-    assert not _loads_numpy(tmp_path, _cli(argv))
+    assert "numpy" not in _loaded(tmp_path, _cli(argv))
 
 
 @pytest.mark.parametrize("argv", [*FORMULA_VERBS.values(), *SEARCH_VERBS.values()],
                          ids=[*FORMULA_VERBS, *SEARCH_VERBS])
 def test_every_verb_runs_where_numpy_cannot_import(tmp_path, argv):
     # A None entry in sys.modules makes `import numpy` raise ImportError;
-    # _loads_numpy fails unless the verb exits 0.
-    _loads_numpy(tmp_path, _cli(argv), preamble="sys.modules['numpy'] = None\n")
+    # _loaded fails unless the verb exits 0.
+    _loaded(tmp_path, _cli(argv), preamble="sys.modules['numpy'] = None\n")
+
+
+# The modules each verb loads besides the package, cli, errors and graph,
+# which every verb needs: none it does not run.
+VERB_MODULES = {
+    "classify": {"structure"},
+    "dim": {"structure", "exact"},
+    "bounds": {"structure", "exact"},
+    "verify": {"oracle"},
+    "oracle": {"oracle"},
+    "generator": {"structure", "exact", "oracle"},
+    "dim-force-oracle": {"structure", "exact", "oracle"},
+    "conjecture-cactus": {"conjecture", "structure", "exact", "oracle"},
+}
+VERB_CALLS = {**FORMULA_VERBS, **SEARCH_VERBS}
+
+
+@pytest.mark.parametrize("verb", [*VERB_MODULES, "dim-malformed"])
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, verb):
+    statements = (_cli(["dim", "malformed.txt"], code=1) if verb == "dim-malformed"
+                  else _cli(VERB_CALLS[verb]))
+    expected = {"cli", "errors", "graph", *VERB_MODULES.get(verb, ())}
+    assert _loaded(tmp_path, statements) == {"mixedmetric", *(f"mixedmetric.{m}" for m in expected)}
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    assert _loaded(tmp_path, "import mixedmetric") == {"mixedmetric"}
+
+
+def test_names_and_submodules_resolve_after_a_bare_import(tmp_path):
+    # Each check exits 9 on failure, which _loaded reports.
+    statements = (
+        "import mixedmetric\n"
+        "if not set(mixedmetric.__all__) <= set(dir(mixedmetric)): sys.exit(9)\n"
+        "if hasattr(mixedmetric, 'no_such_name'): sys.exit(9)\n"
+        "for name in mixedmetric.__all__: getattr(mixedmetric, name)\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    if getattr(mixedmetric, name) is not sys.modules['mixedmetric.' + name]: sys.exit(9)"
+    )
+    assert _loaded(tmp_path, statements) == {"mixedmetric", *(f"mixedmetric.{m}" for m in SUBMODULES)}
 
 
 def test_no_module_imports_numpy():
