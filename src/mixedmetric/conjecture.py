@@ -16,7 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from .errors import (
     CampaignFileError,
@@ -32,8 +32,7 @@ from .oracle import brute_force_mdim
 from .structure import GraphClassTag, decompose
 
 
-@dataclass(frozen=True)
-class CactusSpec:
+class CactusSpec(NamedTuple):
     """Growth recipe for a random cactus: cycles and pendant edges."""
 
     cycle_count: int
@@ -42,8 +41,7 @@ class CactusSpec:
     seed: int
 
 
-@dataclass(frozen=True)
-class ConjectureRecord:
+class ConjectureRecord(NamedTuple):
     """Verdict of the bound mdim <= l1 + 2 * cyclomatic on one graph.
 
     The bare cycle C_n is outside the conjecture's scope and is tagged
@@ -63,9 +61,9 @@ class ConjectureRecord:
     excluded: bool
 
     def to_dict(self) -> dict:
-        # vars, not dataclasses.asdict: asdict deep-copies each field and
-        # cost about 30 times as much per record.
-        return dict(vars(self))
+        # A fresh dict per call; every field is an immutable scalar, so a
+        # shallow copy is the whole record.
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ class CampaignConfig:
     max_n: int = 16
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     count: int
     holds: int
     excluded: int
@@ -91,7 +88,7 @@ class CampaignSummary:
     violations: tuple[ConjectureRecord, ...]
 
     def to_dict(self) -> dict:
-        return {**vars(self), "violations": [r.to_dict() for r in self.violations]}
+        return {**self._asdict(), "violations": [r.to_dict() for r in self.violations]}
 
 
 def _prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:

@@ -16,15 +16,14 @@ one structure.augment_for_triple call, checked against its formula term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph
 from .structure import GraphClassTag, augment_for_triple, decompose, has_geodesic_triple
 
 
-@dataclass(frozen=True)
-class CycleTerm:
+class CycleTerm(NamedTuple):
     """Contribution of one cycle to the exact dimension."""
 
     cycle_id: int
@@ -33,8 +32,7 @@ class CycleTerm:
     needs_delta: bool
 
 
-@dataclass(frozen=True)
-class MdimReport:
+class MdimReport(NamedTuple):
     """Exact dimension broken into leaf, per-cycle, and delta parts."""
 
     l1: int
@@ -43,8 +41,7 @@ class MdimReport:
     total: int
 
 
-@dataclass(frozen=True)
-class GeneratorCertificate:
+class GeneratorCertificate(NamedTuple):
     """A minimum mixed metric generator with its role breakdown.
 
     vertices is the whole set; sa are the leaves, sb the non-root ring
@@ -60,8 +57,7 @@ class GeneratorCertificate:
     verified: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     bound: int
     attained: bool
 

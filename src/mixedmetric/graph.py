@@ -10,9 +10,8 @@ the package's one reachability walk, preorder.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -28,13 +27,47 @@ Edge = tuple[int, int]
 Element = int | Edge
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Connected simple undirected graph; build instances via build_graph."""
+    """Connected simple undirected graph; build instances via build_graph.
+
+    Immutable: assigning or deleting an attribute raises AttributeError.
+    Equality, hashing and pickling read n, edges and adjacency only, never
+    the block structure structure.decompose keeps in _decomposition.
+    """
+
+    __slots__ = ("n", "edges", "adjacency", "_decomposition", "__weakref__")
+    __match_args__ = ("n", "edges", "adjacency")
 
     n: int
     edges: tuple[Edge, ...]
     adjacency: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, edges: tuple[Edge, ...],
+                 adjacency: tuple[tuple[int, ...], ...]) -> None:
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "edges", edges)
+        set_field(self, "adjacency", adjacency)
+        set_field(self, "_decomposition", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges, self.adjacency) == (other.n, other.edges, other.adjacency)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.adjacency))
+
+    def __reduce__(self):
+        # The default protocol restores the slots through setattr, which a
+        # Graph refuses.  A copy finds its own block structure on demand.
+        return (Graph, (self.n, self.edges, self.adjacency))
 
     @property
     def m(self) -> int:
@@ -47,8 +80,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     """Counting invariants of a connected graph."""
 
     leaf_set: frozenset[int]

@@ -33,7 +33,6 @@ subsets by size would return.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,8 +56,7 @@ class FailingPair(NamedTuple):
     y: Element
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
 

@@ -20,8 +20,7 @@ not: the delta term adds at most one vertex per cycle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotACactusError
 from .graph import Edge, Graph, GraphStats, graph_stats
@@ -37,14 +36,12 @@ class GraphClassTag(enum.Enum):
     GENERAL = "General"
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     tag: GraphClassTag
     cycle_count: int
 
 
-@dataclass(frozen=True)
-class CycleInfo:
+class CycleInfo(NamedTuple):
     """One cycle of a cactus as an ordered ring with root-vertex flags.
 
     The ring starts at the cycle's lowest vertex id and its second entry is
@@ -125,8 +122,7 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
                     yield block
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Block structure of a connected graph, from one biconnected_blocks pass.
 
     cycles holds every cycle as a deterministic ring, sorted by ring tuple,
@@ -147,12 +143,12 @@ def decompose(g: Graph) -> Decomposition:
     stored result.  Two threads racing on a fresh graph both compute an
     equal result, and either one may stay.
     """
-    d = g.__dict__.get("_decomposition")
+    d = g._decomposition
     if d is None:
         d = _decompose(g)
-        # Graph is a frozen dataclass: write to its instance dict directly,
-        # as functools.cached_property does.
-        g.__dict__["_decomposition"] = d
+        # Graph refuses assignment; its _decomposition slot is written
+        # past that guard, here only.
+        object.__setattr__(g, "_decomposition", d)
     return d
 
 

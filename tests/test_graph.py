@@ -1,11 +1,15 @@
 """Graph construction, BFS distances, and scalar invariants."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedmetric import (
     DisconnectedError,
     DuplicateEdgeError,
+    Graph,
     SelfLoopError,
     TooSmallError,
     VertexOutOfRangeError,
@@ -15,8 +19,9 @@ from mixedmetric import (
     random_connected_graph,
 )
 from mixedmetric.oracle import _edge_codes, _element_codes
+from mixedmetric.structure import decompose
 
-from graphs import bowtie, complete, cycle, path, star
+from graphs import bowtie, complete, cycle, path, star, tadpole
 from reference import _element_rows
 
 
@@ -100,6 +105,52 @@ class TestBuildGraph:
         g = build_graph(4, ((u, (u + 1) % 4) for u in range(4)))
         assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
         assert g.adjacency == ((1, 3), (0, 2), (1, 3), (0, 2))
+
+
+class TestGraphRecord:
+    """A Graph is an immutable value of n, edges and adjacency; its memo is not part of it."""
+
+    def test_decomposing_one_of_two_equal_graphs_keeps_them_equal(self):
+        g, h = tadpole(), tadpole()
+        before = hash(h)
+        decompose(g)
+        assert g == h and h == g
+        assert hash(g) == hash(h) == before
+
+    def test_never_equals_its_field_tuple(self):
+        g = tadpole()
+        fields = (g.n, g.edges, g.adjacency)
+        assert g != fields and fields != g
+        assert len({g, fields}) == 2
+
+    def test_class_pattern_matches_the_fields_in_order(self):
+        g = tadpole()
+        match g:
+            case Graph(n, edges, adjacency):
+                assert (n, edges, adjacency) == (g.n, g.edges, g.adjacency)
+            case _:
+                pytest.fail("no match")
+
+    @pytest.mark.parametrize("name", ["n", "edges", "adjacency", "_decomposition", "other"])
+    def test_attributes_refuse_assignment_and_deletion(self, name):
+        g = tadpole()
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert g == tadpole()
+
+    def test_a_decomposed_graph_pickles_and_copies(self):
+        g = tadpole()
+        d = decompose(g)
+        pickled = [pickle.loads(pickle.dumps(g, protocol=p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in (*pickled, copy.copy(g), copy.deepcopy(g)):
+            assert type(other) is Graph
+            assert other == g and hash(other) == hash(g)
+            assert (other.n, other.edges, other.adjacency) == (g.n, g.edges, g.adjacency)
+            assert decompose(other) == d
+            assert repr(other) == repr(g) == "Graph(n=6, m=6)"
 
 
 def decode(codes, k):

@@ -1,4 +1,8 @@
-"""Package-wide rules: real raises, resolvable public names, no numpy, lazy imports."""
+"""Package-wide rules: real raises, resolvable public names, no numpy, lazy imports.
+
+No verb but conjecture loads dataclasses, which brings inspect, ast, dis
+and tokenize with it: the records are NamedTuples and Graph a plain class.
+"""
 
 import ast
 import os
@@ -36,12 +40,16 @@ SUBMODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.star
 
 
 def _loaded(tmp_path, statements: str, preamble: str = "") -> set[str]:
-    """Run the statements in a fresh interpreter; the numpy and mixedmetric modules it loaded."""
+    """Run the statements in a fresh interpreter.
+
+    Returns the numpy, dataclasses and mixedmetric modules it loaded.
+    """
     (tmp_path / "tadpole.txt").write_text(TADPOLE)
     (tmp_path / "k4.txt").write_text(K4)
     (tmp_path / "malformed.txt").write_text("6 x\n")
     code = (f"import sys\n{preamble}{statements}\n"
-            "print(*(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'mixedmetric')))")
+            "print(*(m for m in sys.modules"
+            " if m.partition('.')[0] in ('numpy', 'dataclasses', 'mixedmetric')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -108,16 +116,44 @@ VERB_MODULES = {
 VERB_CALLS = {**FORMULA_VERBS, **SEARCH_VERBS}
 
 
+def _verb_call(verb: str) -> str:
+    return (_cli(["dim", "malformed.txt"], code=1) if verb == "dim-malformed"
+            else _cli(VERB_CALLS[verb]))
+
+
 @pytest.mark.parametrize("verb", [*VERB_MODULES, "dim-malformed"])
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path, verb):
-    statements = (_cli(["dim", "malformed.txt"], code=1) if verb == "dim-malformed"
-                  else _cli(VERB_CALLS[verb]))
     expected = {"cli", "errors", "graph", *VERB_MODULES.get(verb, ())}
-    assert _loaded(tmp_path, statements) == {"mixedmetric", *(f"mixedmetric.{m}" for m in expected)}
+    assert (_loaded(tmp_path, _verb_call(verb)) - {"dataclasses"}
+            == {"mixedmetric", *(f"mixedmetric.{m}" for m in expected)})
+
+
+@pytest.mark.parametrize("verb", [*VERB_MODULES, "dim-malformed"])
+def test_only_the_conjecture_verb_loads_dataclasses(tmp_path, verb):
+    # conjecture.CampaignConfig is the one dataclass left.
+    loaded = _loaded(tmp_path, _verb_call(verb))
+    assert ("dataclasses" in loaded) == ("conjecture" in VERB_MODULES.get(verb, ()))
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
     assert _loaded(tmp_path, "import mixedmetric") == {"mixedmetric"}
+
+
+def _all_modules(tmp_path, statements: str) -> set[str]:
+    """Every module a fresh interpreter holds after running the statements."""
+    proc = subprocess.run([sys.executable, "-c", f"{statements}\nimport sys\nprint(*sys.modules)"],
+                          capture_output=True, text=True, cwd=tmp_path, env=ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_bare_import_adds_only_the_package_to_interpreter_start(tmp_path):
+    # `python -c "import mixedmetric"` is what perfbench times as the
+    # campaign's set-up.  __init__.py imports importlib, which some
+    # interpreters' site start-up has loaded already and others have not.
+    start = _all_modules(tmp_path, "pass")
+    importlib = _all_modules(tmp_path, "import importlib") - start
+    assert _all_modules(tmp_path, "import mixedmetric") - start - importlib == {"mixedmetric"}
 
 
 def test_names_and_submodules_resolve_after_a_bare_import(tmp_path):
@@ -130,7 +166,8 @@ def test_names_and_submodules_resolve_after_a_bare_import(tmp_path):
         f"for name in {SUBMODULES!r}:\n"
         "    if getattr(mixedmetric, name) is not sys.modules['mixedmetric.' + name]: sys.exit(9)"
     )
-    assert _loaded(tmp_path, statements) == {"mixedmetric", *(f"mixedmetric.{m}" for m in SUBMODULES)}
+    assert (_loaded(tmp_path, statements) - {"dataclasses"}
+            == {"mixedmetric", *(f"mixedmetric.{m}" for m in SUBMODULES)})
 
 
 def test_no_module_imports_numpy():

@@ -1,6 +1,8 @@
 """Cactus recognition, the block decomposition, rings, and geodesic triples."""
 
+import copy
 import gc
+import pickle
 import weakref
 from collections import deque
 from itertools import combinations
@@ -11,18 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from mixedmetric import (
     CactusSpec,
+    CampaignConfig,
+    CampaignSummary,
     GraphClass,
     GraphClassTag,
+    InvariantError,
     NotACactusError,
     augment_for_triple,
     biconnected_blocks,
     bound_report,
+    brute_force_mdim,
     build_graph,
     build_min_generator,
     classify,
+    conjecture,
     evaluate_conjecture,
     extract_cycles,
     has_geodesic_triple,
+    is_mixed_generator,
     mdim_exact,
     random_cactus,
     random_connected_graph,
@@ -278,6 +286,86 @@ def test_a_decomposed_graph_is_freed_without_the_cyclic_gc():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_decompose_returns_the_kept_result():
+    for g in (tadpole(), complete(4)):
+        assert structure.decompose(g) is structure.decompose(g)
+
+
+# --- records ------------------------------------------------------------
+
+def every_record():
+    """One of each NamedTuple record the package returns, from real calls."""
+    g = tadpole()
+    d = structure.decompose(g)
+    report = mdim_exact(g)
+    record = evaluate_conjecture(g)
+    return {
+        "GraphStats": d.stats,
+        "GraphClass": d.graph_class,
+        "CycleInfo": d.cycles[0],
+        "Decomposition": d,
+        "CycleTerm": report.per_cycle[0],
+        "MdimReport": report,
+        "GeneratorCertificate": build_min_generator(g),
+        "BoundReport": bound_report(g),
+        "SearchResult": brute_force_mdim(g),
+        "FailingPair": is_mixed_generator(g, [5])[1],
+        "CactusSpec": CactusSpec(3, (3, 8), 3, seed=1),
+        "ConjectureRecord": record,
+        "CampaignSummary": CampaignSummary(count=1, holds=1, excluded=0, min_gap=record.gap,
+                                           violations=(record,)),
+    }
+
+
+RECORD_NAMES = sorted(every_record())
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_records_pickle_and_copy(name):
+    record = every_record()[name]
+    assert type(record).__name__ == name
+    pickled = [pickle.loads(pickle.dumps(record, protocol=p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in (*pickled, copy.copy(record), copy.deepcopy(record)):
+        assert type(other) is type(record)
+        assert other == record and hash(other) == hash(record)
+        assert repr(other) == repr(record)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_fields_refuse_assignment(name):
+    record = every_record()[name]
+    for field in (*record._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record == every_record()[name]
+
+
+def test_records_compare_as_tuples_but_campaign_config_does_not():
+    # The README's API notes: a record equals the tuple of its items.
+    report = bound_report(tadpole())
+    assert report == (report.bound, report.attained)
+    bound, attained = report
+    assert (bound, attained) == (report[0], report[1])
+    config = CampaignConfig(count=1, output_path="c.jsonl")
+    assert config != (1, "c.jsonl", 0, (4, 10), "density", 0.4, None, 16)
+
+
+def test_cactus_spec_repr_is_unchanged():
+    assert (repr(CactusSpec(3, (3, 8), 3, seed=1))
+            == "CactusSpec(cycle_count=3, cycle_length_range=(3, 8), extra_tree_edges=3, seed=1)")
+
+
+def test_random_cactus_names_its_spec_when_its_check_fails(monkeypatch):
+    # random_cactus refuses a graph whose decomposition disagrees with the spec.
+    tree = structure.Decomposition(GraphClass(GraphClassTag.TREE, 0), None, ())
+    monkeypatch.setattr(conjecture, "decompose", lambda g: tree)
+    with pytest.raises(InvariantError) as excinfo:
+        random_cactus(CactusSpec(2, (3, 4), 1, seed=3))
+    assert str(excinfo.value) == ("grew a Tree with 0 cycles from CactusSpec(cycle_count=2, "
+                                  "cycle_length_range=(3, 4), extra_tree_edges=1, seed=3)")
 
 
 class TestGeodesicTriple:
