@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     DisconnectedError,
@@ -26,9 +26,6 @@ from .errors import (
     ParseError,
 )
 from .graph import Element, Graph, build_graph
-
-if TYPE_CHECKING:
-    from .exact import GeneratorCertificate, MdimReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,71 +107,30 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _element_payload(element: Element):
-    return element if isinstance(element, int) else [element[0], element[1]]
-
-
 def _element_text(element: Element) -> str:
     return f"vertex {element}" if isinstance(element, int) else f"edge ({element[0]}, {element[1]})"
-
-
-def _report_payload(report: MdimReport) -> dict:
-    return {
-        "l1": report.l1,
-        "cycles": [
-            {"id": t.cycle_id, "rt": t.rt, "term": t.max_term, "needs_delta": t.needs_delta}
-            for t in report.per_cycle
-        ],
-        "delta": report.delta,
-        "total": report.total,
-    }
-
-
-def _certificate_payload(cert: GeneratorCertificate) -> dict:
-    return {
-        "set": list(cert.vertices),
-        "sa": list(cert.sa),
-        "sb": [list(part) for part in cert.sb],
-        "sc": [list(part) for part in cert.sc],
-        "verified": cert.verified,
-    }
 
 
 def _vertex_list(vertices: Sequence[int]) -> str:
     return " ".join(str(v) for v in vertices) if vertices else "(none)"
 
 
-def _cmd_classify(args) -> int:
-    g = parse_graph_file(args.graph)
+# Each graph verb maps (graph, args) to its --json payload and its text
+# lines, built from one result.  JSON writes tuples as lists.
+def _classify(g: Graph, args):
     from .structure import classify
     info = classify(g)
-    if args.json:
-        _emit({"tag": info.tag.value, "cycle_count": info.cycle_count})
-    else:
-        print(f"class: {info.tag.value}")
-        print(f"cycles: {info.cycle_count}")
-    return EXIT_OK
+    return ({"tag": info.tag.value, "cycle_count": info.cycle_count},
+            [f"class: {info.tag.value}", f"cycles: {info.cycle_count}"])
 
 
-def _print_report(report: MdimReport) -> None:
-    print(f"l1 = {report.l1}")
-    for t in report.per_cycle:
-        line = f"cycle {t.cycle_id}: rt = {t.rt}, term = max(3 - {t.rt}, 0) = {t.max_term}"
-        if t.needs_delta:
-            line += ", no geodesic triple of roots -> +1 to delta"
-        print(line)
-    print(f"delta = {report.delta}")
-    terms = sum(t.max_term for t in report.per_cycle)
-    print(f"mdim = {report.l1} + {terms} + {report.delta} = {report.total}")
-
-
-def _cmd_dim(args) -> int:
-    g = parse_graph_file(args.graph)
+def _dim(g: Graph, args):
     from .exact import mdim_exact
     if args.force_oracle:
         from .oracle import brute_force_mdim
         result = brute_force_mdim(g, max_n=args.max_n)
-        payload = {"source": "oracle", "total": result.value, "witness": list(result.witness)}
+        payload = {"source": "oracle", "total": result.value, "witness": result.witness}
+        lines = [f"mdim = {result.value} (oracle)", f"witness: {_vertex_list(result.witness)}"]
         try:
             formula = mdim_exact(g).total
         except NotACactusError:
@@ -185,43 +141,38 @@ def _cmd_dim(args) -> int:
                     f"formula gives {formula} but the oracle gives {result.value}"
                 )
             payload["formula"] = formula
-        if args.json:
-            _emit(payload)
-        else:
-            print(f"mdim = {result.value} (oracle)")
-            print(f"witness: {_vertex_list(result.witness)}")
-            if "formula" in payload:
-                print(f"cross-check: formula agrees ({payload['formula']})")
-        return EXIT_OK
+            lines.append(f"cross-check: formula agrees ({formula})")
+        return payload, lines
     try:
         report = mdim_exact(g)
     except NotACactusError as exc:
-        print(f"error: {exc}; use the `oracle` command (or --force-oracle)", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    if args.json:
-        _emit(_report_payload(report))
-    else:
-        _print_report(report)
-    return EXIT_OK
+        raise NotACactusError(f"{exc}; use the `oracle` command (or --force-oracle)") from None
+    lines = [f"l1 = {report.l1}"]
+    for t in report.per_cycle:
+        line = f"cycle {t.cycle_id}: rt = {t.rt}, term = max(3 - {t.rt}, 0) = {t.max_term}"
+        if t.needs_delta:
+            line += ", no geodesic triple of roots -> +1 to delta"
+        lines.append(line)
+    terms = sum(t.max_term for t in report.per_cycle)
+    lines += [f"delta = {report.delta}",
+              f"mdim = {report.l1} + {terms} + {report.delta} = {report.total}"]
+    cycles = [{"id": t.cycle_id, "rt": t.rt, "term": t.max_term, "needs_delta": t.needs_delta}
+              for t in report.per_cycle]
+    return ({"l1": report.l1, "cycles": cycles, "delta": report.delta, "total": report.total},
+            lines)
 
 
-def _cmd_generator(args) -> int:
-    g = parse_graph_file(args.graph)
+def _generator(g: Graph, args):
     from .exact import build_min_generator
     cert = build_min_generator(g)
     if not cert.verified:
         raise InvariantError("constructed generator failed oracle verification")
-    if args.json:
-        _emit(_certificate_payload(cert))
-    else:
-        print(f"set: {_vertex_list(cert.vertices)}")
-        print(f"sa (leaves): {_vertex_list(cert.sa)}")
-        for i, part in enumerate(cert.sb):
-            print(f"sb cycle {i}: {_vertex_list(part)}")
-        for i, part in enumerate(cert.sc):
-            print(f"sc cycle {i}: {_vertex_list(part)}")
-        print(f"verified: {str(cert.verified).lower()}")
-    return EXIT_OK
+    lines = [f"set: {_vertex_list(cert.vertices)}", f"sa (leaves): {_vertex_list(cert.sa)}"]
+    lines += [f"sb cycle {i}: {_vertex_list(part)}" for i, part in enumerate(cert.sb)]
+    lines += [f"sc cycle {i}: {_vertex_list(part)}" for i, part in enumerate(cert.sc)]
+    lines.append("verified: true")
+    return ({"set": cert.vertices, "sa": cert.sa, "sb": cert.sb, "sc": cert.sc,
+             "verified": cert.verified}, lines)
 
 
 def _parse_vertex_csv(text: str) -> list[int]:
@@ -231,44 +182,38 @@ def _parse_vertex_csv(text: str) -> list[int]:
         raise _UsageError(f"--set expects comma-separated integers, got {text!r}") from None
 
 
-def _cmd_verify(args) -> int:
-    g = parse_graph_file(args.graph)
+def _verify(g: Graph, args):
     from .oracle import is_mixed_generator
     ok, pair = is_mixed_generator(g, _parse_vertex_csv(args.set))
-    if args.json:
-        _emit({
-            "is_generator": ok,
-            "failing_pair": None if pair is None
-            else {"x": _element_payload(pair.x), "y": _element_payload(pair.y)},
-        })
-    else:
-        print(f"mixed metric generator: {str(ok).lower()}")
-        if pair is not None:
-            print(f"failing pair: {_element_text(pair.x)} ~ {_element_text(pair.y)}")
-    return EXIT_OK
+    lines = [f"mixed metric generator: {str(ok).lower()}"]
+    if pair is not None:
+        lines.append(f"failing pair: {_element_text(pair.x)} ~ {_element_text(pair.y)}")
+    return ({"is_generator": ok, "failing_pair": None if pair is None else pair._asdict()},
+            lines)
 
 
-def _cmd_oracle(args) -> int:
-    g = parse_graph_file(args.graph)
+def _oracle(g: Graph, args):
     from .oracle import brute_force_mdim
     result = brute_force_mdim(g, max_n=args.max_n)
-    if args.json:
-        _emit({"total": result.value, "witness": list(result.witness)})
-    else:
-        print(f"mdim = {result.value}")
-        print(f"witness: {_vertex_list(result.witness)}")
-    return EXIT_OK
+    return ({"total": result.value, "witness": result.witness},
+            [f"mdim = {result.value}", f"witness: {_vertex_list(result.witness)}"])
 
 
-def _cmd_bounds(args) -> int:
-    g = parse_graph_file(args.graph)
+def _bounds(g: Graph, args):
     from .exact import bound_report
     report = bound_report(g)
+    suffix = "attained" if report.attained else "not attained"
+    return ({"bound": report.bound, "attained": report.attained},
+            [f"bound = {report.bound} ({suffix})"])
+
+
+def _cmd_graph(args) -> int:
+    g = parse_graph_file(args.graph)
+    payload, lines = args.verb(g, args)
     if args.json:
-        _emit({"bound": report.bound, "attained": report.attained})
+        _emit(payload)
     else:
-        suffix = "attained" if report.attained else "not attained"
-        print(f"bound = {report.bound} ({suffix})")
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -326,33 +271,32 @@ def _build_parser() -> _Parser:
                                  "conjecture tooling.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def graph_command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+    def graph_command(name: str, help_text: str, verb) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("graph", help="edge-list file: '# comments', 'n m', then m 'u v' lines")
         sp.add_argument("--json", action="store_true", help="stable JSON output")
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=_cmd_graph, verb=verb)
         return sp
 
-    graph_command("classify", "structural class and cycle count", _cmd_classify)
+    graph_command("classify", "structural class and cycle count", _classify)
 
-    dim = graph_command("dim", "exact dimension via the structural formula", _cmd_dim)
+    dim = graph_command("dim", "exact dimension via the structural formula", _dim)
     dim.add_argument("--force-oracle", action="store_true",
                      help="use the exact oracle search (cross-checks the formula on cacti)")
     dim.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                      help="oracle size cap (default 16)")
 
-    graph_command("generator", "construct a certified minimum generator", _cmd_generator)
+    graph_command("generator", "construct a certified minimum generator", _generator)
 
-    verify = graph_command("verify", "test whether a vertex set is a generator", _cmd_verify)
+    verify = graph_command("verify", "test whether a vertex set is a generator", _verify)
     verify.add_argument("--set", required=True, metavar="CSV",
                         help="comma-separated vertex ids, e.g. 0,2,5")
 
-    oracle = graph_command("oracle", "exact dimension of any connected graph by search",
-                           _cmd_oracle)
+    oracle = graph_command("oracle", "exact dimension of any connected graph by search", _oracle)
     oracle.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                         help="search size cap (default 16)")
 
-    graph_command("bounds", "leaf-plus-two-per-cycle bound report", _cmd_bounds)
+    graph_command("bounds", "leaf-plus-two-per-cycle bound report", _bounds)
 
     conj = sub.add_parser("conjecture", help="run a seeded random-graph campaign")
     conj.add_argument("--count", type=_bounded(_decimal, 0), required=True,
@@ -360,12 +304,13 @@ def _build_parser() -> _Parser:
     conj.add_argument("--out", required=True, help="append-only JSONL result file")
     conj.add_argument("--seed", type=_bounded(_decimal), default=0)
     conj.add_argument("--n-range", default="4..10", metavar="A..B")
-    conj.add_argument("--density", type=_bounded(float, 0, 1), default=0.4,
-                      help="edge density fraction (default 0.4)")
-    conj.add_argument("--fixed-m", type=_bounded(_decimal, 0), default=None,
-                      help="use a fixed edge count, clamped per graph into "
-                           "[n - 1, n(n - 1)/2]")
-    conj.add_argument("--cactus", action="store_true", help="sample random cacti instead")
+    strategy = conj.add_mutually_exclusive_group()
+    strategy.add_argument("--density", type=_bounded(float, 0, 1), default=0.4,
+                          help="edge density fraction (default 0.4)")
+    strategy.add_argument("--fixed-m", type=_bounded(_decimal, 0), default=None,
+                          help="use a fixed edge count, clamped per graph into "
+                               "[n - 1, n(n - 1)/2]")
+    strategy.add_argument("--cactus", action="store_true", help="sample random cacti instead")
     conj.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
                       help="oracle size cap (default 16)")
     conj.set_defaults(handler=_cmd_conjecture)

@@ -234,13 +234,9 @@ def _campaign_graph(config: CampaignConfig, index: int) -> Graph:
         ))
     max_m = n * (n - 1) // 2
     if config.m_strategy == "fixed":
-        if config.fixed_m is None:
-            raise InvalidSpecError("fixed strategy needs fixed_m")
         m = min(max(config.fixed_m, n - 1), max_m)
-    elif config.m_strategy == "density":
-        m = min(max(round(config.density * max_m), n - 1), max_m)
     else:
-        raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
+        m = min(max(round(config.density * max_m), n - 1), max_m)
     # A cactus has at most n - 1 + (n - 1) // 2 edges, so past that the graph
     # would go to the oracle, which refuses n > max_n.  Refuse it before
     # random_connected_graph builds it.
@@ -258,8 +254,19 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     A line that is not a complete record, such as a last line cut short,
     or a record of a graph this config does not generate at that index,
     such as one written under another seed, raises CampaignFileError
-    before anything is appended.
+    before anything is appended.  A config that cannot generate its graphs
+    raises InvalidSpecError or TooSmallError before the file is opened.
     """
+    if config.m_strategy not in ("density", "fixed", "cactus"):
+        raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
+    if config.m_strategy == "fixed" and config.fixed_m is None:
+        raise InvalidSpecError("fixed strategy needs fixed_m")
+    lo, hi = config.n_range
+    if lo > hi:
+        raise InvalidSpecError(f"n_range must satisfy lo <= hi, got ({lo}, {hi})")
+    # Under "cactus" the n range sets only the longest cycle.
+    if config.m_strategy != "cactus" and lo < 2:
+        raise TooSmallError(f"need at least 2 vertices, got {lo}")
     path = Path(config.output_path)
     records = _read_campaign(path, config) if path.exists() else []
     with path.open("a", encoding="utf-8") as fh:

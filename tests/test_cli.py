@@ -261,6 +261,104 @@ class TestVerbs:
         assert len(out.read_text().splitlines()) == 8
 
 
+GOLDEN_GRAPHS = {
+    "bowtie": BOWTIE,
+    "tadpole": "6 6\n0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n",
+    "k4": K4,
+    "c4": "4 4\n0 1\n1 2\n2 3\n3 0\n",
+    # A 6-ring whose three adjacent roots admit no geodesic triple.
+    "ring6": "9 9\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 6\n1 7\n2 8\n",
+    "tri": "3 3\n0 1\n1 2\n2 0\n",
+}
+NOT_A_CACTUS = "error: exact formula applies to cacti only"
+# (call, exit code, text-mode output, --json payload).  The output is stdout
+# on exit 0 and stderr otherwise, when stdout stays empty in both modes.
+GOLDEN = [
+    ("classify bowtie", 0, "class: Cactus\ncycles: 2\n", {"tag": "Cactus", "cycle_count": 2}),
+    ("classify tadpole", 0, "class: Unicyclic\ncycles: 1\n",
+     {"tag": "Unicyclic", "cycle_count": 1}),
+    ("classify k4", 0, "class: General\ncycles: 0\n", {"tag": "General", "cycle_count": 0}),
+    ("classify c4", 0, "class: Cycle\ncycles: 1\n", {"tag": "Cycle", "cycle_count": 1}),
+    ("classify ring6", 0, "class: Unicyclic\ncycles: 1\n", {"tag": "Unicyclic", "cycle_count": 1}),
+    ("dim bowtie", 0,
+     "l1 = 0\ncycle 0: rt = 1, term = max(3 - 1, 0) = 2\n"
+     "cycle 1: rt = 1, term = max(3 - 1, 0) = 2\ndelta = 0\nmdim = 0 + 4 + 0 = 4\n",
+     {"l1": 0, "cycles": [{"id": 0, "rt": 1, "term": 2, "needs_delta": False},
+                          {"id": 1, "rt": 1, "term": 2, "needs_delta": False}],
+      "delta": 0, "total": 4}),
+    ("dim tadpole", 0,
+     "l1 = 1\ncycle 0: rt = 1, term = max(3 - 1, 0) = 2\ndelta = 0\nmdim = 1 + 2 + 0 = 3\n",
+     {"l1": 1, "cycles": [{"id": 0, "rt": 1, "term": 2, "needs_delta": False}],
+      "delta": 0, "total": 3}),
+    ("dim k4", 2, f"{NOT_A_CACTUS}; use the `oracle` command (or --force-oracle)\n", None),
+    ("dim c4", 0,
+     "l1 = 0\ncycle 0: rt = 0, term = max(3 - 0, 0) = 3\ndelta = 0\nmdim = 0 + 3 + 0 = 3\n",
+     {"l1": 0, "cycles": [{"id": 0, "rt": 0, "term": 3, "needs_delta": False}],
+      "delta": 0, "total": 3}),
+    ("dim ring6", 0,
+     "l1 = 3\ncycle 0: rt = 3, term = max(3 - 3, 0) = 0, no geodesic triple of roots"
+     " -> +1 to delta\ndelta = 1\nmdim = 3 + 0 + 1 = 4\n",
+     {"l1": 3, "cycles": [{"id": 0, "rt": 3, "term": 0, "needs_delta": True}],
+      "delta": 1, "total": 4}),
+    ("dim tadpole --force-oracle", 0,
+     "mdim = 3 (oracle)\nwitness: 1 2 5\ncross-check: formula agrees (3)\n",
+     {"source": "oracle", "total": 3, "witness": [1, 2, 5], "formula": 3}),
+    ("dim ring6 --force-oracle", 0,
+     "mdim = 4 (oracle)\nwitness: 3 6 7 8\ncross-check: formula agrees (4)\n",
+     {"source": "oracle", "total": 4, "witness": [3, 6, 7, 8], "formula": 4}),
+    ("dim k4 --force-oracle", 0, "mdim = 4 (oracle)\nwitness: 0 1 2 3\n",
+     {"source": "oracle", "total": 4, "witness": [0, 1, 2, 3]}),
+    ("generator bowtie", 0,
+     "set: 1 2 3 4\nsa (leaves): (none)\nsb cycle 0: 1 2\nsb cycle 1: 3 4\n"
+     "sc cycle 0: (none)\nsc cycle 1: (none)\nverified: true\n",
+     {"set": [1, 2, 3, 4], "sa": [], "sb": [[1, 2], [3, 4]], "sc": [[], []], "verified": True}),
+    ("generator tadpole", 0,
+     "set: 1 2 5\nsa (leaves): 5\nsb cycle 0: 1 2\nsc cycle 0: (none)\nverified: true\n",
+     {"set": [1, 2, 5], "sa": [5], "sb": [[1, 2]], "sc": [[]], "verified": True}),
+    ("generator k4", 2, f"{NOT_A_CACTUS}\n", None),
+    ("generator c4", 0,
+     "set: 0 1 2\nsa (leaves): (none)\nsb cycle 0: 0 1 2\nsc cycle 0: (none)\nverified: true\n",
+     {"set": [0, 1, 2], "sa": [], "sb": [[0, 1, 2]], "sc": [[]], "verified": True}),
+    ("generator ring6", 0,
+     "set: 3 6 7 8\nsa (leaves): 6 7 8\nsb cycle 0: (none)\nsc cycle 0: 3\nverified: true\n",
+     {"set": [3, 6, 7, 8], "sa": [6, 7, 8], "sb": [[]], "sc": [[3]], "verified": True}),
+    ("verify bowtie --set 0,1", 0,
+     "mixed metric generator: false\nfailing pair: vertex 0 ~ edge (0, 2)\n",
+     {"is_generator": False, "failing_pair": {"x": 0, "y": [0, 2]}}),
+    ("verify tadpole --set 1,2,5", 0, "mixed metric generator: true\n",
+     {"is_generator": True, "failing_pair": None}),
+    ("verify k4 --set 0,1,2,3", 0, "mixed metric generator: true\n",
+     {"is_generator": True, "failing_pair": None}),
+    ("verify c4 --set 0,2", 0, "mixed metric generator: false\nfailing pair: vertex 1 ~ vertex 3\n",
+     {"is_generator": False, "failing_pair": {"x": 1, "y": 3}}),
+    ("verify ring6 --set 3,6,7,8", 0, "mixed metric generator: true\n",
+     {"is_generator": True, "failing_pair": None}),
+    ("verify tri --set 0,1", 0,
+     "mixed metric generator: false\nfailing pair: vertex 0 ~ edge (0, 2)\n",
+     {"is_generator": False, "failing_pair": {"x": 0, "y": [0, 2]}}),
+    ("oracle bowtie", 0, "mdim = 4\nwitness: 1 2 3 4\n", {"total": 4, "witness": [1, 2, 3, 4]}),
+    ("oracle tadpole", 0, "mdim = 3\nwitness: 1 2 5\n", {"total": 3, "witness": [1, 2, 5]}),
+    ("oracle k4", 0, "mdim = 4\nwitness: 0 1 2 3\n", {"total": 4, "witness": [0, 1, 2, 3]}),
+    ("oracle c4", 0, "mdim = 3\nwitness: 0 1 2\n", {"total": 3, "witness": [0, 1, 2]}),
+    ("oracle ring6", 0, "mdim = 4\nwitness: 3 6 7 8\n", {"total": 4, "witness": [3, 6, 7, 8]}),
+    ("bounds bowtie", 0, "bound = 4 (attained)\n", {"bound": 4, "attained": True}),
+    ("bounds tadpole", 0, "bound = 3 (attained)\n", {"bound": 3, "attained": True}),
+    ("bounds k4", 2, "error: bound statement applies to cacti only\n", None),
+    ("bounds c4", 2, "error: the bound excludes the bare cycle C_n\n", None),
+    ("bounds ring6", 0, "bound = 5 (not attained)\n", {"bound": 5, "attained": False}),
+]
+
+
+@pytest.mark.parametrize("call, code, text, payload", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_graph_verbs_print_exactly_these_bytes(graph_file, capsys, call, code, text, payload):
+    verb, name, *flags = call.split()
+    path = graph_file(GOLDEN_GRAPHS[name])
+    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n" if code == 0 else text
+    for mode, output in (([], text), (["--json"], json_text)):
+        assert run([verb, path, *flags, *mode]) == code
+        assert tuple(capsys.readouterr()) == ((output, "") if code == 0 else ("", output))
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert run(["dim"]) == 1
@@ -312,6 +410,29 @@ class TestExitCodes:
         flag, value = flags[-2:]
         assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--cactus", "--fixed-m", "5"], ["--cactus", "--density", "0.9"],
+        ["--density", "0.9", "--fixed-m", "5"],
+    ], ids=["cactus-fixed-m", "cactus-density", "density-fixed-m"])
+    def test_strategy_flags_exclude_each_other(self, tmp_path, capsys, flags):
+        # Each pair used to run one strategy and drop the other flag unread.
+        out = tmp_path / "c.jsonl"
+        assert run(["conjecture", "--count", "2", *flags, "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_range", ["0..0", "1..3"])
+    def test_n_range_below_two_vertices_is_two_and_writes_nothing(self, tmp_path, capsys,
+                                                                  n_range):
+        out = tmp_path / "c.jsonl"
+        argv = ["conjecture", "--count", "2", "--n-range", n_range, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: need at least 2 vertices")
+        assert not out.exists()
+        # Under --cactus the range sets only the longest cycle.
+        assert run([*argv, "--cactus"]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_seed_may_be_negative(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"

@@ -237,6 +237,29 @@ class TestRunCampaign:
         for line in out.read_text().splitlines():
             assert json.loads(line)["m"] == 8
 
+    @pytest.mark.parametrize("fields, error", [
+        (dict(m_strategy="bogus"), InvalidSpecError),
+        (dict(m_strategy="fixed"), InvalidSpecError),
+        (dict(n_range=(0, 0)), TooSmallError),
+        (dict(n_range=(1, 3)), TooSmallError),
+        (dict(n_range=(1, 3), m_strategy="fixed", fixed_m=2), TooSmallError),
+        (dict(n_range=(5, 3), m_strategy="cactus"), InvalidSpecError),
+    ], ids=["unknown-strategy", "fixed-without-m", "density-n-0", "density-n-1", "fixed-n-1",
+            "reversed-n-range"])
+    def test_config_that_cannot_generate_is_refused_before_the_file_opens(self, tmp_path,
+                                                                           fields, error):
+        out = tmp_path / "refused.jsonl"
+        with pytest.raises(error):
+            run_campaign(CampaignConfig(count=2, output_path=str(out), **fields))
+        assert not out.exists()
+
+    def test_cactus_strategy_takes_any_n_range(self, tmp_path):
+        # The range sets only the longest cycle there: max(3, min(6, n - 1)).
+        out = tmp_path / "cacti.jsonl"
+        summary = run_campaign(CampaignConfig(count=3, output_path=str(out), n_range=(0, 1),
+                                              m_strategy="cactus"))
+        assert summary.count == 3 and len(out.read_text().splitlines()) == 3
+
     def test_truncated_last_line_is_rejected_untouched(self, tmp_path):
         out = tmp_path / "cut.jsonl"
         run_campaign(CampaignConfig(count=3, output_path=str(out), seed=1))

@@ -112,6 +112,8 @@ VERB_MODULES = {
     "generator": {"structure", "exact", "oracle"},
     "dim-force-oracle": {"structure", "exact", "oracle"},
     "conjecture-cactus": {"conjecture", "structure", "exact", "oracle"},
+    "dim-force-oracle-k4": {"structure", "exact", "oracle"},
+    "conjecture-general": {"conjecture", "structure", "exact", "oracle"},
 }
 VERB_CALLS = {**FORMULA_VERBS, **SEARCH_VERBS}
 
@@ -137,6 +139,11 @@ def test_only_the_conjecture_verb_loads_dataclasses(tmp_path, verb):
 
 def test_bare_import_loads_no_submodule(tmp_path):
     assert _loaded(tmp_path, "import mixedmetric") == {"mixedmetric"}
+
+
+def test_structure_import_loads_only_its_own_imports(tmp_path):
+    assert _loaded(tmp_path, "import mixedmetric.structure") == {
+        "mixedmetric", "mixedmetric.errors", "mixedmetric.graph", "mixedmetric.structure"}
 
 
 def _all_modules(tmp_path, statements: str) -> set[str]:
