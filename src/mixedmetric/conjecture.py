@@ -27,9 +27,9 @@ from .errors import (
     TooSmallError,
 )
 from .exact import mdim_exact
-from .graph import Graph, build_graph, graph_stats
+from .graph import Graph, build_graph
 from .oracle import brute_force_mdim
-from .structure import GraphClassTag, decompose
+from .structure import Decomposition, GraphClassTag, decompose
 
 
 class CactusSpec(NamedTuple):
@@ -199,11 +199,16 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     oracle's exact search (TooLargeError past max_n).
     """
     d = decompose(g)
-    stats = d.stats
     if d.cycles is not None:
         mdim, source = mdim_exact(g).total, "formula"
     else:
         mdim, source = brute_force_mdim(g, max_n=max_n).value, "oracle"
+    return _record(g, d, mdim, source)
+
+
+def _record(g: Graph, d: Decomposition, mdim: int, source: str) -> ConjectureRecord:
+    """The record of g given its decomposition and dimension, for writer and resume check."""
+    stats = d.stats
     bound = stats.l1 + 2 * stats.cyclomatic
     return ConjectureRecord(
         graph_id=_graph_digest(g),
@@ -261,6 +266,9 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
     if config.m_strategy == "fixed" and config.fixed_m is None:
         raise InvalidSpecError("fixed strategy needs fixed_m")
+    # Written so that NaN fails it too.
+    if not 0 <= config.density <= 1:
+        raise InvalidSpecError(f"density must be in [0, 1], got {config.density}")
     lo, hi = config.n_range
     if lo > hi:
         raise InvalidSpecError(f"n_range must satisfy lo <= hi, got ({lo}, {hi})")
@@ -300,9 +308,9 @@ def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]
                     raise ValueError("no line end")
                 # UnicodeDecodeError is a ValueError too.
                 record = ConjectureRecord(**json.loads(raw.decode("utf-8")))
-                # Each field has the exact type the writer gives it, so a
-                # null, a string or a float cannot pass for a count, nor
-                # true for an int.
+                # Each field has the exact type the writer gives it: the
+                # comparison with the expected record below would take 4.0
+                # for 4 and true for 1.
                 if any(type(getattr(record, name)) is not kind
                        for name, kind in _RECORD_TYPES.items()):
                     raise TypeError("a field of the wrong type")
@@ -311,30 +319,17 @@ def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]
                     f"{path}: line {lineno} is not a complete campaign record"
                 ) from None
             g = _campaign_graph(config, len(records))
-            if record.graph_id != _graph_digest(g):
+            # Only mdim and its source are taken on trust: checking them
+            # would mean solving the graph again.
+            expected = _record(g, decompose(g), record.mdim, record.mdim_source)
+            if record.graph_id != expected.graph_id:
                 raise CampaignFileError(
                     f"{path}: line {lineno} holds a graph this config does not generate "
                     "there (another seed, n range or strategy?)"
                 )
-            if not _consistent(record, g):
+            if record != expected:
                 raise CampaignFileError(
                     f"{path}: line {lineno} holds a record that contradicts its graph or itself"
                 )
             records.append(record)
     return records
-
-
-def _consistent(record: ConjectureRecord, g: Graph) -> bool:
-    """Whether a read record agrees with its graph and with itself.
-
-    Only mdim and its source are taken on trust: checking them would mean
-    solving the graph again.  A connected graph with one cycle and no leaf
-    is its cycle, the one graph a record excludes.
-    """
-    stats = graph_stats(g)
-    return ((record.n, record.m, record.l1, record.cyclomatic)
-            == (g.n, g.m, stats.l1, stats.cyclomatic)
-            and record.bound == record.l1 + 2 * record.cyclomatic
-            and record.gap == record.bound - record.mdim
-            and record.holds == (record.mdim <= record.bound)
-            and record.excluded == (record.l1 == 0 and record.cyclomatic == 1))

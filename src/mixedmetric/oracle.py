@@ -33,7 +33,7 @@ subsets by size would return.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
+from itertools import chain, count, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
@@ -119,11 +119,11 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
             # tracks, and are packed in place, so no second list is built.
             for i, label in enumerate(labels):
                 codes[i] = codes[i] << bits | label
-        if len(set(codes)) == len(codes):
-            # Every element is alone in its class, and later chunks only split classes.
-            return True, None
         ids: dict[int, int] = {}
         labels = [ids.setdefault(code, len(ids)) for code in codes]
+        if len(ids) == len(labels):
+            # Every element is alone in its class, and later chunks only split classes.
+            return True, None
         # Free this chunk's codes before the next chunk's search builds its own.
         del codes, ids
     # Labels number the classes in the order of their first members, so the
@@ -140,23 +140,19 @@ def _separated(g: Graph, codes: list[int], k: int, labels: list[int], bits: int)
     """Whether vertex codes cut after some level, with their edges' and the
     earlier chunks' labels, tell every element apart.
 
-    The edges' keys are added one at a time, so a check that an edge fails
-    stops there instead of building every edge's code.
+    The vertices' keys come first and the edges' one at a time, so a check
+    stops at the first repeat without building the other edges' codes.
     """
-    n = g.n
+    keys = chain(codes, _edge_codes(g, codes, k))
     if labels:
-        keys = {code << bits | label for code, label in zip(codes, labels)}
-    else:
-        keys = set(codes)
-    if len(keys) < n:
+        keys = (code << bits | label for code, label in zip(keys, labels))
+    seen = set(islice(keys, g.n))
+    if len(seen) < g.n:
         return False
-    edges = _edge_codes(g, codes, k)
-    if labels:
-        edges = (code << bits | label for code, label in zip(edges, labels[n:]))
-    for key in edges:
-        if key in keys:
+    for key in keys:
+        if key in seen:
             return False
-        keys.add(key)
+        seen.add(key)
     return True
 
 

@@ -198,12 +198,18 @@ class TestRunCampaign:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_resume_continues_the_seed_sequence(self, tmp_path):
-        whole = tmp_path / "whole.jsonl"
-        split = tmp_path / "split.jsonl"
-        run_campaign(CampaignConfig(count=12, output_path=str(whole), seed=5))
-        run_campaign(CampaignConfig(count=7, output_path=str(split), seed=5))
-        run_campaign(CampaignConfig(count=12, output_path=str(split), seed=5))
-        assert whole.read_bytes() == split.read_bytes()
+        # The cactus campaign's records come from the formula, and records
+        # 1 and 3 are excluded bare rings, so resuming reads both kinds.
+        for name, fields in (("density", dict(seed=5)),
+                             ("cactus", dict(seed=1, n_range=(4, 8), m_strategy="cactus"))):
+            whole = tmp_path / f"{name}-whole.jsonl"
+            split = tmp_path / f"{name}-split.jsonl"
+            run_campaign(CampaignConfig(count=12, output_path=str(whole), **fields))
+            run_campaign(CampaignConfig(count=7, output_path=str(split), **fields))
+            run_campaign(CampaignConfig(count=12, output_path=str(split), **fields))
+            assert whole.read_bytes() == split.read_bytes(), name
+        cacti = (tmp_path / "cactus-whole.jsonl").read_text().splitlines()
+        assert any(json.loads(line)["excluded"] for line in cacti)
 
     def test_resume_under_another_config_is_rejected_untouched(self, tmp_path):
         out = tmp_path / "mixed.jsonl"
@@ -244,8 +250,11 @@ class TestRunCampaign:
         (dict(n_range=(1, 3)), TooSmallError),
         (dict(n_range=(1, 3), m_strategy="fixed", fixed_m=2), TooSmallError),
         (dict(n_range=(5, 3), m_strategy="cactus"), InvalidSpecError),
+        (dict(density=7.5), InvalidSpecError),
+        (dict(density=-0.1), InvalidSpecError),
+        (dict(density=float("nan")), InvalidSpecError),
     ], ids=["unknown-strategy", "fixed-without-m", "density-n-0", "density-n-1", "fixed-n-1",
-            "reversed-n-range"])
+            "reversed-n-range", "density-above-1", "density-below-0", "density-nan"])
     def test_config_that_cannot_generate_is_refused_before_the_file_opens(self, tmp_path,
                                                                            fields, error):
         out = tmp_path / "refused.jsonl"

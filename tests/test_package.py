@@ -39,15 +39,16 @@ def test_star_import_resolves_every_public_name():
 SUBMODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
 
 
-def _loaded(tmp_path, statements: str, preamble: str = "") -> set[str]:
+def _loaded(tmp_path, statements: str) -> set[str]:
     """Run the statements in a fresh interpreter.
 
-    Returns the numpy, dataclasses and mixedmetric modules it loaded.
+    Returns the numpy, dataclasses and mixedmetric modules it loaded, so
+    a pin of the exact set also pins that numpy stays unloaded.
     """
     (tmp_path / "tadpole.txt").write_text(TADPOLE)
     (tmp_path / "k4.txt").write_text(K4)
     (tmp_path / "malformed.txt").write_text("6 x\n")
-    code = (f"import sys\n{preamble}{statements}\n"
+    code = (f"import sys\n{statements}\n"
             "print(*(m for m in sys.modules"
             " if m.partition('.')[0] in ('numpy', 'dataclasses', 'mixedmetric')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -60,13 +61,11 @@ def _cli(argv, code=0):
     return f"from mixedmetric import cli\nif cli.run({argv!r}) != {code}: sys.exit(9)"
 
 
-FORMULA_VERBS = {
+VERB_CALLS = {
     "classify": ["classify", "tadpole.txt"],
     "dim": ["dim", "tadpole.txt", "--json"],
     "bounds": ["bounds", "tadpole.txt"],
     "conjecture-cactus": ["conjecture", "--count", "3", "--cactus", "--out", "c.jsonl"],
-}
-SEARCH_VERBS = {
     "verify": ["verify", "tadpole.txt", "--set", "1,2,5"],
     "oracle": ["oracle", "tadpole.txt"],
     "generator": ["generator", "tadpole.txt"],
@@ -76,29 +75,6 @@ SEARCH_VERBS = {
     "conjecture-general": ["conjecture", "--count", "3", "--n-range", "4..6", "--density", "1",
                            "--out", "c.jsonl"],
 }
-
-
-@pytest.mark.parametrize("statements", [
-    "import mixedmetric",
-    "import mixedmetric.structure",
-    *(_cli(argv) for argv in FORMULA_VERBS.values()),
-    _cli(["dim", "malformed.txt"], code=1),
-], ids=["import", "structure", *FORMULA_VERBS, "dim-malformed"])
-def test_formula_path_leaves_numpy_unloaded(tmp_path, statements):
-    assert "numpy" not in _loaded(tmp_path, statements)
-
-
-@pytest.mark.parametrize("argv", SEARCH_VERBS.values(), ids=SEARCH_VERBS)
-def test_search_and_verification_leave_numpy_unloaded(tmp_path, argv):
-    assert "numpy" not in _loaded(tmp_path, _cli(argv))
-
-
-@pytest.mark.parametrize("argv", [*FORMULA_VERBS.values(), *SEARCH_VERBS.values()],
-                         ids=[*FORMULA_VERBS, *SEARCH_VERBS])
-def test_every_verb_runs_where_numpy_cannot_import(tmp_path, argv):
-    # A None entry in sys.modules makes `import numpy` raise ImportError;
-    # _loaded fails unless the verb exits 0.
-    _loaded(tmp_path, _cli(argv), preamble="sys.modules['numpy'] = None\n")
 
 
 # The modules each verb loads besides the package, cli, errors and graph,
@@ -115,7 +91,6 @@ VERB_MODULES = {
     "dim-force-oracle-k4": {"structure", "exact", "oracle"},
     "conjecture-general": {"conjecture", "structure", "exact", "oracle"},
 }
-VERB_CALLS = {**FORMULA_VERBS, **SEARCH_VERBS}
 
 
 def _verb_call(verb: str) -> str:
