@@ -127,18 +127,17 @@ def _classify(g: Graph, args):
 def _dim(g: Graph, args):
     from .exact import mdim_exact
     if args.force_oracle:
-        from .oracle import brute_force_mdim
-        result = brute_force_mdim(g, max_n=args.max_n)
-        payload = {"source": "oracle", "total": result.value, "witness": result.witness}
-        lines = [f"mdim = {result.value} (oracle)", f"witness: {_vertex_list(result.witness)}"]
+        payload, lines = _oracle(g, args)
+        payload["source"] = "oracle"
+        lines[0] += " (oracle)"
         try:
             formula = mdim_exact(g).total
         except NotACactusError:
             pass  # no formula to cross-check outside the cactus family
         else:
-            if formula != result.value:
+            if formula != payload["total"]:
                 raise InvariantError(
-                    f"formula gives {formula} but the oracle gives {result.value}"
+                    f"formula gives {formula} but the oracle gives {payload['total']}"
                 )
             payload["formula"] = formula
             lines.append(f"cross-check: formula agrees ({formula})")

@@ -16,7 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from .errors import (
     CampaignFileError,
@@ -200,13 +200,13 @@ def evaluate_conjecture(g: Graph, max_n: int = 16) -> ConjectureRecord:
     """
     d = decompose(g)
     if d.cycles is not None:
-        mdim, source = mdim_exact(g).total, "formula"
+        mdim = mdim_exact(g).total
     else:
-        mdim, source = brute_force_mdim(g, max_n=max_n).value, "oracle"
-    return _record(g, d, mdim, source)
+        mdim = brute_force_mdim(g, max_n=max_n).value
+    return _record(g, d, mdim)
 
 
-def _record(g: Graph, d: Decomposition, mdim: int, source: str) -> ConjectureRecord:
+def _record(g: Graph, d: Decomposition, mdim: int) -> ConjectureRecord:
     """The record of g given its decomposition and dimension, for writer and resume check."""
     stats = d.stats
     bound = stats.l1 + 2 * stats.cyclomatic
@@ -217,7 +217,8 @@ def _record(g: Graph, d: Decomposition, mdim: int, source: str) -> ConjectureRec
         l1=stats.l1,
         cyclomatic=stats.cyclomatic,
         mdim=mdim,
-        mdim_source=source,
+        # The solver evaluate_conjecture picks for this decomposition.
+        mdim_source="formula" if d.cycles is not None else "oracle",
         bound=bound,
         holds=mdim <= bound,
         gap=bound - mdim,
@@ -256,11 +257,12 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     The file is append-only: rerunning an identical config replays the
     same byte stream, and a partially written file resumes where the seed
     sequence left off.  The summary aggregates every record in the file.
-    A line that is not a complete record, such as a last line cut short,
-    or a record of a graph this config does not generate at that index,
-    such as one written under another seed, raises CampaignFileError
-    before anything is appended.  A config that cannot generate its graphs
-    raises InvalidSpecError or TooSmallError before the file is opened.
+    A line that is not, byte for byte, the line this version writes for
+    the graph at that index given the line's own mdim, such as a last line
+    cut short, a record written under another seed or an edited record,
+    raises CampaignFileError before anything is appended.  A config that
+    cannot generate its graphs raises InvalidSpecError or TooSmallError
+    before the file is opened.
     """
     if config.m_strategy not in ("density", "fixed", "cactus"):
         raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
@@ -277,11 +279,10 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
         raise TooSmallError(f"need at least 2 vertices, got {lo}")
     path = Path(config.output_path)
     records = _read_campaign(path, config) if path.exists() else []
-    with path.open("a", encoding="utf-8") as fh:
+    with path.open("ab") as fh:
         for index in range(len(records), config.count):
             record = evaluate_conjecture(_campaign_graph(config, index), config.max_n)
-            fh.write(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            fh.write(_line(record))
             records.append(record)
     live = [r for r in records if not r.excluded]
     return CampaignSummary(
@@ -293,41 +294,39 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     )
 
 
-_RECORD_TYPES = get_type_hints(ConjectureRecord)
+def _line(record: ConjectureRecord) -> bytes:
+    """The one serialization of a record: the writer's line and the resume check's."""
+    return json.dumps(record._asdict(), sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
 def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]:
     records = []
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
             try:
                 # A line without its newline was cut short mid-write.
                 if not raw.endswith(b"\n"):
                     raise ValueError("no line end")
                 # UnicodeDecodeError is a ValueError too.
                 record = ConjectureRecord(**json.loads(raw.decode("utf-8")))
-                # Each field has the exact type the writer gives it: the
-                # comparison with the expected record below would take 4.0
-                # for 4 and true for 1.
-                if any(type(getattr(record, name)) is not kind
-                       for name, kind in _RECORD_TYPES.items()):
-                    raise TypeError("a field of the wrong type")
+                # mdim is the one field taken from the file: from 4.0 or
+                # true, _record would build a line with 4.0 or true in it.
+                if type(record.mdim) is not int:
+                    raise TypeError("mdim is not an integer")
             except (ValueError, TypeError):
                 raise CampaignFileError(
                     f"{path}: line {lineno} is not a complete campaign record"
                 ) from None
             g = _campaign_graph(config, len(records))
-            # Only mdim and its source are taken on trust: checking them
-            # would mean solving the graph again.
-            expected = _record(g, decompose(g), record.mdim, record.mdim_source)
+            # Only mdim is taken on trust: checking it would mean solving the
+            # graph again.  Every other byte must be the writer's.
+            expected = _record(g, decompose(g), record.mdim)
             if record.graph_id != expected.graph_id:
                 raise CampaignFileError(
                     f"{path}: line {lineno} holds a graph this config does not generate "
                     "there (another seed, n range or strategy?)"
                 )
-            if record != expected:
+            if raw != _line(expected):
                 raise CampaignFileError(
                     f"{path}: line {lineno} holds a record that contradicts its graph or itself"
                 )

@@ -548,6 +548,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert "line 1 holds a record that contradicts" in captured.err
         assert out.read_bytes() == written
+        # The source follows from the graph, so a forged one is refused too,
+        # even in the writer's own format.
+        forged = tmp_path / "forged.jsonl"
+        argv[-1] = str(forged)
+        assert run(argv) == 0
+        lines = forged.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"mdim_source":"oracle"', b'"mdim_source":"banana"')
+        written = b"".join(lines)
+        assert b"banana" in written
+        forged.write_bytes(written)
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2 holds a record that contradicts" in captured.err
+        assert forged.read_bytes() == written
 
     def test_truncated_campaign_file_is_two(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"

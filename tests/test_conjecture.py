@@ -278,6 +278,18 @@ class TestRunCampaign:
             run_campaign(CampaignConfig(count=5, output_path=str(out), seed=1))
         assert out.read_bytes() == cut
 
+    def test_blank_line_is_rejected_untouched(self, tmp_path):
+        # The writer writes none, so a resumed file with one in it would
+        # differ from a fresh run's.
+        out = tmp_path / "blank.jsonl"
+        run_campaign(CampaignConfig(count=2, output_path=str(out), seed=1))
+        lines = out.read_bytes().splitlines(keepends=True)
+        edited = b"".join([lines[0], b"\n", lines[1]])
+        out.write_bytes(edited)
+        with pytest.raises(CampaignFileError, match="line 2 is not a complete campaign record"):
+            run_campaign(CampaignConfig(count=3, output_path=str(out), seed=1))
+        assert out.read_bytes() == edited
+
     def test_wrongly_typed_field_is_rejected_untouched(self, tmp_path):
         out = tmp_path / "typed.jsonl"
         config = CampaignConfig(count=3, output_path=str(out), seed=1)
@@ -301,12 +313,16 @@ class TestRunCampaign:
         run_campaign(config)
         lines = out.read_bytes().splitlines(keepends=True)
         first = json.loads(lines[1])
+        other_source = {"formula": "oracle", "oracle": "formula"}[first["mdim_source"]]
         # Types and graph_id still match, so only the values give these away.
-        # The last edit agrees with itself but not with the graph.
+        # The l1 edit agrees with itself but not with the graph.  The empty
+        # edit keeps every value and only writes json.dumps's default
+        # separators, so a resumed file would differ from a fresh run's.
         edits = [{"holds": not first["holds"]}, {"gap": -7}, {"bound": first["bound"] + 1},
                  {"n": first["n"] + 1}, {"m": first["m"] + 1},
                  {"cyclomatic": first["cyclomatic"] + 1}, {"excluded": not first["excluded"]},
-                 {"l1": first["l1"] + 1, "bound": first["bound"] + 2, "gap": first["gap"] + 2}]
+                 {"l1": first["l1"] + 1, "bound": first["bound"] + 2, "gap": first["gap"] + 2},
+                 {}, {"mdim_source": "banana"}, {"mdim_source": other_source}]
         for edit in edits:
             edited = b"".join([lines[0], json.dumps({**first, **edit}).encode() + b"\n",
                                lines[2]])
