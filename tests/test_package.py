@@ -98,14 +98,33 @@ def _verb_call(verb: str) -> str:
             else _cli(VERB_CALLS[verb]))
 
 
+@pytest.fixture(scope="module")
+def verb_loaded(tmp_path_factory):
+    """Each verb's loaded modules, from one fresh interpreter per verb."""
+    seen = {}
+
+    def loaded(verb: str) -> set[str]:
+        if verb not in seen:
+            seen[verb] = _loaded(tmp_path_factory.mktemp(verb), _verb_call(verb))
+        return seen[verb]
+    return loaded
+
+
 @pytest.mark.parametrize("verb", [*VERB_MODULES, "dim-malformed"])
-def test_each_verb_loads_only_the_modules_it_runs(tmp_path, verb):
+def test_each_verb_loads_only_the_modules_it_runs(verb_loaded, verb):
     modules = {"cli", "errors", "graph", *VERB_MODULES.get(verb, ())}
     expected = {"mixedmetric", *(f"mixedmetric.{m}" for m in modules)}
     # conjecture.CampaignConfig is the one dataclass left.
     if "conjecture" in modules:
         expected.add("dataclasses")
-    assert _loaded(tmp_path, _verb_call(verb)) == expected
+    assert verb_loaded(verb) == expected
+
+
+@pytest.mark.parametrize("verb", [*VERB_MODULES, "dim-malformed"])
+def test_only_the_conjecture_verb_loads_dataclasses(verb_loaded, verb):
+    # Reads the same interpreter run as the exact-set pin above.
+    loaded = verb_loaded(verb)
+    assert ("dataclasses" in loaded) == ("conjecture" in VERB_MODULES.get(verb, ()))
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
