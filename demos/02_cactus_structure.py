@@ -7,7 +7,7 @@ from mixedmetric import (
     augment_for_triple,
     build_graph,
     classify,
-    extract_cycles,
+    decompose,
     has_geodesic_triple,
 )
 
@@ -19,7 +19,9 @@ g = build_graph(11, ring + pendants)
 info = classify(g)
 print("class:", info.tag.value, "| cycles:", info.cycle_count)
 
-(cycle,) = extract_cycles(g)
+# decompose finds the blocks once and keeps them on g; its cycles are
+# None outside the cactus family.
+(cycle,) = decompose(g).cycles
 print("ring:", cycle.ring)
 print("root positions (degree >= 3):", sorted(cycle.root_positions), "| rt =", cycle.rt)
 

@@ -10,7 +10,7 @@ from mixedmetric import (
     brute_force_mdim,
     build_graph,
     element_order,
-    forced_vertices,
+    graph_stats,
     is_mixed_generator,
     mdim_exact,
     random_cactus,
@@ -49,7 +49,7 @@ for element in element_order(p3):
 # Leaves are forced: dropping one leaves its pendant edge and neighbor
 # indistinguishable, so the search only ranges over the non-leaf vertices.
 tadpole = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
-print("\ntadpole forced vertices:", sorted(forced_vertices(tadpole)))
+print("\ntadpole forced vertices:", sorted(graph_stats(tadpole).leaf_set))
 result = brute_force_mdim(tadpole)
 print("tadpole exhaustive search:", result.value, "witness", result.witness)
 print("tadpole formula:", mdim_exact(tadpole).total)

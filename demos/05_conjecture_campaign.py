@@ -17,7 +17,7 @@ from mixedmetric import (
 # One-off evaluations: the bound is a theorem on cacti, open in general.
 k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 record = evaluate_conjecture(k4)
-print("K4:", json.dumps(record.to_dict(), sort_keys=True))
+print("K4:", json.dumps(record._asdict(), sort_keys=True))
 
 # K4 is 3-connected, and 3-connected graphs satisfy the strict form mdim < 2c.
 print("K4 strict mdim < 2c:", record.mdim < 2 * record.cyclomatic)

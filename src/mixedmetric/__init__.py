@@ -31,9 +31,9 @@ _HOMES = {
                   "bound_report", "build_min_generator", "mdim_exact"),
         "graph": ("Edge", "Element", "Graph", "GraphStats", "build_graph", "graph_stats"),
         "oracle": ("FailingPair", "SearchResult", "brute_force_mdim", "element_order",
-                   "forced_vertices", "is_mixed_generator"),
-        "structure": ("CycleInfo", "GraphClass", "GraphClassTag", "augment_for_triple",
-                      "biconnected_blocks", "classify", "extract_cycles",
+                   "is_mixed_generator"),
+        "structure": ("CycleInfo", "Decomposition", "GraphClass", "GraphClassTag",
+                      "augment_for_triple", "biconnected_blocks", "classify", "decompose",
                       "has_geodesic_triple"),
     }.items()
     for name in names

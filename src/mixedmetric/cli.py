@@ -277,13 +277,16 @@ def _build_parser() -> _Parser:
         sp.set_defaults(handler=_cmd_graph, verb=verb)
         return sp
 
+    def max_n(sp: argparse.ArgumentParser, help_text: str) -> None:
+        sp.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
+                        help=f"{help_text} (default 16)")
+
     graph_command("classify", "structural class and cycle count", _classify)
 
     dim = graph_command("dim", "exact dimension via the structural formula", _dim)
     dim.add_argument("--force-oracle", action="store_true",
                      help="use the exact oracle search (cross-checks the formula on cacti)")
-    dim.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
-                     help="oracle size cap (default 16)")
+    max_n(dim, "oracle size cap, read only with --force-oracle")
 
     graph_command("generator", "construct a certified minimum generator", _generator)
 
@@ -292,8 +295,7 @@ def _build_parser() -> _Parser:
                         help="comma-separated vertex ids, e.g. 0,2,5")
 
     oracle = graph_command("oracle", "exact dimension of any connected graph by search", _oracle)
-    oracle.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
-                        help="search size cap (default 16)")
+    max_n(oracle, "search size cap")
 
     graph_command("bounds", "leaf-plus-two-per-cycle bound report", _bounds)
 
@@ -310,8 +312,7 @@ def _build_parser() -> _Parser:
                           help="use a fixed edge count, clamped per graph into "
                                "[n - 1, n(n - 1)/2]")
     strategy.add_argument("--cactus", action="store_true", help="sample random cacti instead")
-    conj.add_argument("--max-n", type=_bounded(_decimal, 2), default=16,
-                      help="oracle size cap (default 16)")
+    max_n(conj, "oracle size cap")
     conj.set_defaults(handler=_cmd_conjecture)
     return parser
 

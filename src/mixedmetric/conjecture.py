@@ -60,11 +60,6 @@ class ConjectureRecord(NamedTuple):
     gap: int
     excluded: bool
 
-    def to_dict(self) -> dict:
-        # A fresh dict per call; every field is an immutable scalar, so a
-        # shallow copy is the whole record.
-        return self._asdict()
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -88,7 +83,7 @@ class CampaignSummary(NamedTuple):
     violations: tuple[ConjectureRecord, ...]
 
     def to_dict(self) -> dict:
-        return {**self._asdict(), "violations": [r.to_dict() for r in self.violations]}
+        return {**self._asdict(), "violations": [r._asdict() for r in self.violations]}
 
 
 def _prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:

@@ -103,7 +103,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     if not isinstance(edge_list, (list, tuple)):
         # A one-shot iterable: the error scan below may read it again.
         edge_list = list(edge_list)
-    neighbors: list[list[int]] = [[] for _ in range(n)]
+    neighbors: list[list[int] | tuple[int, ...]] = [[] for _ in range(n)]
     # One int object per vertex id, shared by the adjacency and the edges:
     # ids past 256 are not cached by Python, so each input occurrence and
     # each enumerate() would otherwise be an int of its own.
@@ -116,9 +116,11 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             neighbors[u].append(ids[v])
             neighbors[v].append(ids[u])
         else:
-            for a in neighbors:
+            # Each list gives way to its tuple, so the two never all coexist.
+            for i, a in enumerate(neighbors):
                 a.sort()
-            adjacency = tuple(map(tuple, neighbors))
+                neighbors[i] = tuple(a)
+            adjacency = tuple(neighbors)
             # Read off the sorted adjacency, the edges come out in sorted
             # order, and an edge listed twice comes out twice in a row.
             edges = tuple((u, v) for u, a in zip(ids, adjacency) for v in a if u < v)

@@ -207,21 +207,13 @@ def _edge_codes(g: Graph, codes: list[int], k: int) -> Iterator[int]:
 
     Adjacent vertices differ by at most one level and an edge lies at the
     nearer endpoint's, so with X the OR of its endpoints' codes an edge's
-    code is X & ~(X << k).  Its field L needs only fields L and L - 1 of
-    X, so vertex codes cut after a level give the edges' codes cut there.
+    code is X & ~(X << k), built as X ^ (X & (X << k)) so that no negative
+    int is made.  Its field L needs only fields L and L - 1 of X, so vertex
+    codes cut after a level give the edges' codes cut there.
     Lazy, and it reads only the first g.n entries, so a caller may extend
     the vertex codes with it in place.
     """
-    return ((x := codes[u] | codes[v]) & ~(x << k) for u, v in g.edges)
-
-
-def forced_vertices(g: Graph) -> frozenset[int]:
-    """Vertices every mixed metric generator must contain: the leaves.
-
-    A missing leaf leaves its neighbor and its pendant edge at equal
-    distance from everything else, so no generator can omit a leaf.
-    """
-    return graph_stats(g).leaf_set
+    return ((x := codes[u] | codes[v]) ^ (x & (x << k)) for u, v in g.edges)
 
 
 def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
@@ -242,7 +234,8 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
     """
     if g.n > max_n:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
-    forced = forced_vertices(g)
+    # A set missing a leaf cannot tell the leaf's neighbour from its pendant edge.
+    forced = graph_stats(g).leaf_set
     *_, codes = _element_codes(g, range(g.n))
     codes += _edge_codes(g, codes, g.n)
     constraints = _constraints(codes, g.n, forced)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import NotACactusError
 from .graph import Edge, Graph, GraphStats, graph_stats
 
 
@@ -190,18 +189,6 @@ def _decompose(g: Graph) -> Decomposition:
 def classify(g: Graph) -> GraphClass:
     """Most specific tag among Tree/Cycle/Unicyclic/Cactus/General."""
     return decompose(g).graph_class
-
-
-def extract_cycles(g: Graph) -> tuple[CycleInfo, ...]:
-    """All cycles of a cactus as deterministic rings, sorted by ring tuple.
-
-    Raises NotACactusError when some block is neither an edge nor a cycle.
-    Returns () for a tree.
-    """
-    cycles = decompose(g).cycles
-    if cycles is None:
-        raise NotACactusError("graph has a block that is not an edge or a cycle")
-    return cycles
 
 
 def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:

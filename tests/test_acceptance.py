@@ -20,8 +20,8 @@ from mixedmetric import (
     build_graph,
     build_min_generator,
     classify,
+    decompose,
     evaluate_conjecture,
-    extract_cycles,
     graph_stats,
     mdim_exact,
     random_cactus,
@@ -148,7 +148,7 @@ def test_criterion_5_corollary_bounds():
         bound = stats.l1 + 2 * info.cycle_count
         if total > bound:
             ok = False
-        tight = all(c.rt == 1 for c in extract_cycles(g))
+        tight = all(c.rt == 1 for c in decompose(g).cycles)
         if (total == bound) != tight:
             ok = False
     chains_ok = True
@@ -185,7 +185,7 @@ def test_criterion_6_conjecture_harness():
     if violations:
         print("COUNTEREXAMPLE CANDIDATES (bound l1 + 2c violated):")
         for record in violations:
-            print(json.dumps(record.to_dict(), sort_keys=True))
+            print(json.dumps(record._asdict(), sort_keys=True))
     ok = not violations
     _verdict(6, ok, f"{checked} non-cactus graphs ({attempts} sampled), "
                     f"{len(violations)} violations")

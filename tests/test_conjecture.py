@@ -16,8 +16,8 @@ from mixedmetric import (
     TooLargeError,
     TooSmallError,
     classify,
+    decompose,
     evaluate_conjecture,
-    extract_cycles,
     graph_stats,
     random_cactus,
     random_connected_graph,
@@ -158,7 +158,7 @@ class TestEvaluateConjecture:
             return
         rec = evaluate_conjecture(g)
         assert rec.holds
-        assert (rec.gap == 0) == all(c.rt == 1 for c in extract_cycles(g))
+        assert (rec.gap == 0) == all(c.rt == 1 for c in decompose(g).cycles)
 
 
 class TestRunCampaign:

@@ -16,7 +16,7 @@ from mixedmetric import (
     build_graph,
     build_min_generator,
     classify,
-    extract_cycles,
+    decompose,
     graph_stats,
     mdim_exact,
     random_cactus,
@@ -197,7 +197,7 @@ def test_certificates_verify_at_formula_cardinality(g):
 def test_total_between_leaf_count_and_bound(g):
     report = mdim_exact(g)
     stats = graph_stats(g)
-    cycles = extract_cycles(g)
+    cycles = decompose(g).cycles
     assert report.total >= stats.l1
     # The bound statement excludes the bare ring C_n (whose total is 3 > 2).
     if cycles and classify(g).tag is not GraphClassTag.CYCLE:

@@ -13,7 +13,7 @@ from mixedmetric import (
     brute_force_mdim,
     build_min_generator,
     element_order,
-    forced_vertices,
+    graph_stats,
     is_mixed_generator,
     oracle,
     random_cactus,
@@ -66,14 +66,16 @@ class TestIsMixedGenerator:
 
 
 class TestForcedVertices:
+    """The leaf set, which brute_force_mdim forces into every witness."""
+
     def test_star_forces_all_leaves(self):
-        assert forced_vertices(star(4)) == {1, 2, 3, 4}
+        assert graph_stats(star(4)).leaf_set == {1, 2, 3, 4}
 
     def test_leafless_graph_forces_nothing(self):
-        assert forced_vertices(cycle(6)) == frozenset()
+        assert graph_stats(cycle(6)).leaf_set == frozenset()
 
     def test_tadpole_forces_the_tail_leaf(self):
-        assert forced_vertices(tadpole()) == {5}
+        assert graph_stats(tadpole()).leaf_set == {5}
 
 
 class TestBruteForce:
@@ -96,7 +98,7 @@ class TestBruteForce:
     def test_forced_vertices_inside_witness(self):
         g = tadpole()
         result = brute_force_mdim(g)
-        assert forced_vertices(g) <= set(result.witness)
+        assert graph_stats(g).leaf_set <= set(result.witness)
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):

@@ -29,6 +29,24 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_public_names_are_pinned():
+    # Adding or deleting a public name shows up here as a diff.
+    assert mixedmetric.__all__ == [
+        "BoundReport", "CactusSpec", "CampaignConfig", "CampaignFileError", "CampaignSummary",
+        "ConjectureRecord", "CycleExcludedError", "CycleInfo", "CycleTerm", "Decomposition",
+        "DisconnectedError", "DuplicateEdgeError", "Edge", "Element", "EmptySetError",
+        "FailingPair", "GeneratorCertificate", "Graph", "GraphBuildError", "GraphClass",
+        "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InvalidSpecError",
+        "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError", "ParseError",
+        "SearchResult", "SelfLoopError", "TooLargeError", "TooSmallError",
+        "VertexOutOfRangeError", "augment_for_triple", "biconnected_blocks", "bound_report",
+        "brute_force_mdim", "build_graph", "build_min_generator", "classify", "decompose",
+        "element_order", "evaluate_conjecture", "graph_stats", "has_geodesic_triple",
+        "is_mixed_generator", "mdim_exact", "random_cactus", "random_connected_graph",
+        "run_campaign",
+    ]
+
+
 def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from mixedmetric import *", namespace)

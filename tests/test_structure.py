@@ -18,7 +18,6 @@ from mixedmetric import (
     GraphClass,
     GraphClassTag,
     InvariantError,
-    NotACactusError,
     augment_for_triple,
     biconnected_blocks,
     bound_report,
@@ -27,8 +26,8 @@ from mixedmetric import (
     build_min_generator,
     classify,
     conjecture,
+    decompose,
     evaluate_conjecture,
-    extract_cycles,
     has_geodesic_triple,
     is_mixed_generator,
     mdim_exact,
@@ -162,7 +161,7 @@ class TestClassify:
         g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                             (3, 4), (4, 5), (5, 3)])
         assert classify(g) == GraphClass(GraphClassTag.GENERAL, 1)
-        assert structure.decompose(g).cycles is None
+        assert decompose(g).cycles is None
 
     def test_tags_report_most_specific_class(self):
         # One triangle plus a bridge is unicyclic, not merely cactus.
@@ -184,38 +183,36 @@ def test_blocks_match_networkx(n, extra, seed):
 
 
 class TestExtractCycles:
+    """The rings and root positions decompose reads off the block search."""
+
     def test_pure_ring(self):
-        (c,) = extract_cycles(cycle(5))
+        (c,) = decompose(cycle(5)).cycles
         assert c.ring == (0, 1, 2, 3, 4) and c.length == 5 and c.rt == 0
 
     def test_bowtie_rings_and_roots(self):
-        a, b = extract_cycles(bowtie())
+        a, b = decompose(bowtie()).cycles
         assert a.ring == (0, 1, 2) and b.ring == (0, 3, 4)
         assert a.rt == b.rt == 1
         assert a.root_positions == b.root_positions == {0}
 
     def test_tadpole(self):
-        (c,) = extract_cycles(tadpole())
+        (c,) = decompose(tadpole()).cycles
         assert c.length == 4 and c.rt == 1 and c.root_positions == {0}
 
     def test_ring_orientation_deterministic(self):
         # Scrambled labels: the ring starts at the least vertex and turns
         # toward its smaller ring neighbor.
         g = build_graph(4, [(3, 1), (1, 2), (2, 0), (0, 3)])
-        (c,) = extract_cycles(g)
+        (c,) = decompose(g).cycles
         assert c.ring == (0, 2, 1, 3)
 
-    def test_general_graph_rejected(self):
-        with pytest.raises(NotACactusError):
-            extract_cycles(complete(4))
-
     def test_tree_has_no_cycles(self):
-        assert extract_cycles(path(4)) == ()
+        assert decompose(path(4)).cycles == ()
 
     def test_consecutive_ring_entries_adjacent(self):
         g = random_cactus(CactusSpec(3, (3, 7), 4, seed=99))
         edges = set(g.edges)
-        for c in extract_cycles(g):
+        for c in decompose(g).cycles:
             for i in range(c.length):
                 assert edge(c.ring[i], c.ring[(i + 1) % c.length]) in edges
 
@@ -226,7 +223,7 @@ class TestExtractCycles:
         rnd.shuffle(label)
         g = build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
         h = nx.Graph(g.edges)
-        cycles = extract_cycles(g)
+        cycles = decompose(g).cycles
         # A cactus's cycles are edge-disjoint, so any cycle basis is all of them.
         assert [c.ring for c in cycles] == sorted(oriented(c) for c in nx.cycle_basis(h))
         for c in cycles:
@@ -236,14 +233,14 @@ class TestExtractCycles:
     @settings(max_examples=40, deadline=None)
     def test_root_positions_have_nontrivial_components(self, g):
         # Degree >= 3 on the ring must coincide with a nontrivial hanging part.
-        for c in extract_cycles(g):
+        for c in decompose(g).cycles:
             comp = components_without_ring_edges(g, c.ring)
             for pos, v in enumerate(c.ring):
                 assert (pos in c.root_positions) == (comp.count(comp[v]) >= 2)
 
 
 @pytest.mark.parametrize("call, graph", [
-    (classify, "cactus"), (classify, "general"), (extract_cycles, "cactus"),
+    (decompose, "cactus"), (classify, "cactus"), (classify, "general"),
     (mdim_exact, "cactus"), (bound_report, "cactus"), (build_min_generator, "cactus"),
     (evaluate_conjecture, "cactus"), (evaluate_conjecture, "general"),
 ], ids=lambda x: getattr(x, "__name__", x))
@@ -265,7 +262,7 @@ def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
     calls = []
     real = structure.biconnected_blocks
     monkeypatch.setattr(structure, "biconnected_blocks", lambda g: calls.append(g) or real(g))
-    for call in (classify, extract_cycles, mdim_exact, bound_report, build_min_generator,
+    for call in (classify, decompose, mdim_exact, bound_report, build_min_generator,
                  evaluate_conjecture):
         call(g)
     assert len(calls) == 1
@@ -290,7 +287,7 @@ def test_a_decomposed_graph_is_freed_without_the_cyclic_gc():
 
 def test_decompose_returns_the_kept_result():
     for g in (tadpole(), complete(4)):
-        assert structure.decompose(g) is structure.decompose(g)
+        assert decompose(g) is decompose(g)
 
 
 # --- records ------------------------------------------------------------
@@ -298,7 +295,7 @@ def test_decompose_returns_the_kept_result():
 def every_record():
     """One of each NamedTuple record the package returns, from real calls."""
     g = tadpole()
-    d = structure.decompose(g)
+    d = decompose(g)
     report = mdim_exact(g)
     record = evaluate_conjecture(g)
     return {
@@ -494,7 +491,7 @@ def test_blocks_partition_edges(g):
 @settings(max_examples=40, deadline=None)
 def test_ring_arc_distance_equals_graph_distance(g):
     dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges)))
-    for c in extract_cycles(g):
+    for c in decompose(g).cycles:
         for i, j in combinations(range(c.length), 2):
             assert dist[c.ring[i]][c.ring[j]] == ring_distance(c.length, i, j)
 
@@ -503,5 +500,5 @@ def test_ring_arc_distance_equals_graph_distance(g):
 @settings(max_examples=40, deadline=None)
 def test_multi_cycle_cacti_have_roots_everywhere(cycles, pendants, seed):
     g = random_cactus(CactusSpec(cycles, (3, 6), pendants, seed))
-    for c in extract_cycles(g):
+    for c in decompose(g).cycles:
         assert c.rt >= 1
