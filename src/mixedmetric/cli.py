@@ -241,12 +241,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_conjecture(args) -> int:
-    if args.fixed_m is not None:
-        strategy = "fixed"
-    elif args.cactus:
-        strategy = "cactus"
-    else:
-        strategy = "density"
     n_range = _parse_range(args.n_range)
     from .conjecture import CampaignConfig, run_campaign
     config = CampaignConfig(
@@ -254,7 +248,7 @@ def _cmd_conjecture(args) -> int:
         output_path=args.out,
         seed=args.seed,
         n_range=n_range,
-        m_strategy=strategy,
+        m_strategy="cactus" if args.cactus else "density",
         density=args.density,
         fixed_m=args.fixed_m,
         max_n=args.max_n,

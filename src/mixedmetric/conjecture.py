@@ -69,9 +69,9 @@ class CampaignConfig:
     output_path: str
     seed: int = 0
     n_range: tuple[int, int] = (4, 10)
-    m_strategy: str = "density"  # "density", "fixed", or "cactus"
+    m_strategy: str = "density"  # "density" or "cactus"
     density: float = 0.4
-    fixed_m: int | None = None
+    fixed_m: int | None = None  # when set, replaces the density's edge count
     max_n: int = 16
 
 
@@ -234,10 +234,8 @@ def _campaign_graph(config: CampaignConfig, index: int) -> Graph:
             seed=child_seed,
         ))
     max_m = n * (n - 1) // 2
-    if config.m_strategy == "fixed":
-        m = min(max(config.fixed_m, n - 1), max_m)
-    else:
-        m = min(max(round(config.density * max_m), n - 1), max_m)
+    wanted = round(config.density * max_m) if config.fixed_m is None else config.fixed_m
+    m = min(max(wanted, n - 1), max_m)
     # A cactus has at most n - 1 + (n - 1) // 2 edges, so past that the graph
     # would go to the oracle, which refuses n > max_n.  Refuse it before
     # random_connected_graph builds it.
@@ -259,10 +257,8 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     cannot generate its graphs raises InvalidSpecError or TooSmallError
     before the file is opened.
     """
-    if config.m_strategy not in ("density", "fixed", "cactus"):
+    if config.m_strategy not in ("density", "cactus"):
         raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
-    if config.m_strategy == "fixed" and config.fixed_m is None:
-        raise InvalidSpecError("fixed strategy needs fixed_m")
     # Written so that NaN fails it too.
     if not 0 <= config.density <= 1:
         raise InvalidSpecError(f"density must be in [0, 1], got {config.density}")

@@ -390,6 +390,12 @@ class TestExitCodes:
         assert f"--n-range expects 'a..b', got '{spelling}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reversed_n_range_is_one(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        assert run(["conjecture", "--count", "2", "--n-range", "9..4", "--out", str(out)]) == 1
+        assert "--n-range expects a <= b, got '9..4'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["conjecture", "--count", "1_0"], ["conjecture", "--count", "٣"],
         ["conjecture", "--count", "+2"], ["conjecture", "--count", "2", "--seed", "١"],

@@ -201,7 +201,8 @@ class TestRunCampaign:
         # The cactus campaign's records come from the formula, and records
         # 1 and 3 are excluded bare rings, so resuming reads both kinds.
         for name, fields in (("density", dict(seed=5)),
-                             ("cactus", dict(seed=1, n_range=(4, 8), m_strategy="cactus"))):
+                             ("cactus", dict(seed=1, n_range=(4, 8), m_strategy="cactus")),
+                             ("fixed-m", dict(seed=2, n_range=(5, 7), fixed_m=8))):
             whole = tmp_path / f"{name}-whole.jsonl"
             split = tmp_path / f"{name}-split.jsonl"
             run_campaign(CampaignConfig(count=12, output_path=str(whole), **fields))
@@ -237,7 +238,7 @@ class TestRunCampaign:
     def test_fixed_strategy(self, tmp_path):
         out = tmp_path / "fixed.jsonl"
         config = CampaignConfig(count=6, output_path=str(out), seed=2,
-                                n_range=(5, 7), m_strategy="fixed", fixed_m=8)
+                                n_range=(5, 7), fixed_m=8)
         summary = run_campaign(config)
         assert summary.count == 6
         for line in out.read_text().splitlines():
@@ -245,16 +246,16 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("fields, error", [
         (dict(m_strategy="bogus"), InvalidSpecError),
-        (dict(m_strategy="fixed"), InvalidSpecError),
+        (dict(m_strategy="fixed", fixed_m=8), InvalidSpecError),
         (dict(n_range=(0, 0)), TooSmallError),
         (dict(n_range=(1, 3)), TooSmallError),
-        (dict(n_range=(1, 3), m_strategy="fixed", fixed_m=2), TooSmallError),
+        (dict(n_range=(1, 3), fixed_m=2), TooSmallError),
         (dict(n_range=(5, 3), m_strategy="cactus"), InvalidSpecError),
         (dict(density=7.5), InvalidSpecError),
         (dict(density=-0.1), InvalidSpecError),
         (dict(density=float("nan")), InvalidSpecError),
-    ], ids=["unknown-strategy", "fixed-without-m", "density-n-0", "density-n-1", "fixed-n-1",
-            "reversed-n-range", "density-above-1", "density-below-0", "density-nan"])
+    ], ids=["unknown-strategy", "removed-fixed-strategy", "density-n-0", "density-n-1",
+            "fixed-n-1", "reversed-n-range", "density-above-1", "density-below-0", "density-nan"])
     def test_config_that_cannot_generate_is_refused_before_the_file_opens(self, tmp_path,
                                                                            fields, error):
         out = tmp_path / "refused.jsonl"
@@ -346,8 +347,7 @@ class TestRunCampaign:
     def test_sparse_graph_past_the_cap_is_still_built(self, tmp_path):
         # m = n - 1 can only be a tree, which the formula handles at any n.
         out = tmp_path / "trees.jsonl"
-        config = CampaignConfig(count=2, output_path=str(out), n_range=(40, 40),
-                                m_strategy="fixed", fixed_m=0)
+        config = CampaignConfig(count=2, output_path=str(out), n_range=(40, 40), fixed_m=0)
         assert run_campaign(config).count == 2
         assert all(json.loads(line)["mdim_source"] == "formula"
                    for line in out.read_text().splitlines())
