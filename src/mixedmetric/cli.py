@@ -164,8 +164,6 @@ def _dim(g: Graph, args):
 def _generator(g: Graph, args):
     from .exact import build_min_generator
     cert = build_min_generator(g)
-    if not cert.verified:
-        raise InvariantError("constructed generator failed oracle verification")
     lines = [f"set: {_vertex_list(cert.vertices)}", f"sa (leaves): {_vertex_list(cert.sa)}"]
     lines += [f"sb cycle {i}: {_vertex_list(part)}" for i, part in enumerate(cert.sb)]
     lines += [f"sc cycle {i}: {_vertex_list(part)}" for i, part in enumerate(cert.sc)]

@@ -69,7 +69,7 @@ class CampaignConfig:
     output_path: str
     seed: int = 0
     n_range: tuple[int, int] = (4, 10)
-    m_strategy: str = "density"  # "density" or "cactus"
+    m_strategy: str = "density"  # "density" or "cactus", which takes no density or fixed_m
     density: float = 0.4
     fixed_m: int | None = None  # when set, replaces the density's edge count
     max_n: int = 16
@@ -88,7 +88,7 @@ class CampaignSummary(NamedTuple):
 
 def _prufer_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     # Decoding a uniform random length-(n-2) sequence yields a uniform
-    # labeled tree.  n >= 3 here; n == 2 is the single edge.
+    # labeled tree.  For n == 2 the sequence is empty and draws nothing.
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
@@ -164,7 +164,7 @@ def random_connected_graph(n: int, m: int, seed: int) -> Graph:
             f"m = {m} outside [{n - 1}, {n * (n - 1) // 2}] for n = {n}"
         )
     rng = random.Random(seed)
-    tree = [(0, 1)] if n == 2 else _prufer_edges(n, rng)
+    tree = _prufer_edges(n, rng)
     # The chords are a sample of the non-edges in lexicographic order.
     # random.sample reads only a population's length and items, so sampling
     # a range of indices draws the same indices without listing n^2 / 2
@@ -254,14 +254,17 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     the graph at that index given the line's own mdim, such as a last line
     cut short, a record written under another seed or an edited record,
     raises CampaignFileError before anything is appended.  A config that
-    cannot generate its graphs raises InvalidSpecError or TooSmallError
-    before the file is opened.
+    cannot generate its graphs, or sets a field its strategy ignores,
+    raises InvalidSpecError or TooSmallError before the file is opened.
     """
     if config.m_strategy not in ("density", "cactus"):
         raise InvalidSpecError(f"unknown m_strategy {config.m_strategy!r}")
     # Written so that NaN fails it too.
     if not 0 <= config.density <= 1:
         raise InvalidSpecError(f"density must be in [0, 1], got {config.density}")
+    unread = config.fixed_m is not None or config.density != CampaignConfig.density
+    if config.m_strategy == "cactus" and unread:
+        raise InvalidSpecError("the cactus strategy reads neither fixed_m nor density")
     lo, hi = config.n_range
     if lo > hi:
         raise InvalidSpecError(f"n_range must satisfy lo <= hi, got ({lo}, {hi})")

@@ -47,7 +47,7 @@ class GeneratorCertificate(NamedTuple):
     vertices is the whole set; sa are the leaves, sb the non-root ring
     vertices added per cycle to complete a geodesic triple, and sc the one
     extra ring vertex per cycle whose roots admit no triple.  The three
-    parts are pairwise disjoint and verified is the oracle's confirmation.
+    parts are pairwise disjoint, and verified is always True (see build_min_generator).
     """
 
     vertices: tuple[int, ...]
@@ -88,8 +88,8 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
     augment_for_triple gives its roots, whose size must be the cycle's
     max_term plus its delta: 3 - rt non-root vertices when rt < 3 (sb), one
     vertex when three or more roots lack a triple (sc).  Choices are
-    deterministic (lexicographically smallest ring positions), and the
-    result is checked against the definition-level oracle.
+    deterministic (lexicographically smallest ring positions), and a result
+    the definition-level oracle refutes raises InvariantError.
     """
     report = mdim_exact(g)
     d = decompose(g)
@@ -120,8 +120,9 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
         )
     # Imported here so that the formula alone (dim, bounds) never loads the oracle.
     from .oracle import is_mixed_generator
-    ok, _ = is_mixed_generator(g, vertices)
-    return GeneratorCertificate(vertices=vertices, sa=sa, sb=tuple(sb), sc=tuple(sc), verified=ok)
+    if not is_mixed_generator(g, vertices)[0]:
+        raise InvariantError("constructed generator failed oracle verification")
+    return GeneratorCertificate(vertices=vertices, sa=sa, sb=tuple(sb), sc=tuple(sc), verified=True)
 
 
 def bound_report(g: Graph) -> BoundReport:

@@ -66,15 +66,6 @@ def element_order(g: Graph) -> tuple[Element, ...]:
     return tuple(range(g.n)) + g.edges
 
 
-def _checked_members(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
-    order = tuple(sorted(set(members)))
-    if not order:
-        raise EmptySetError("generator set must be nonempty")
-    if order[0] < 0 or order[-1] >= g.n:
-        raise VertexOutOfRangeError(f"generator vertices must lie in [0, {g.n})")
-    return order
-
-
 def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingPair | None]:
     """Decide whether the set distinguishes all vertex/edge elements.
 
@@ -91,7 +82,11 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     that stop and a failing set counts every level; memory O(_CHUNK
     levels (n + m)) bits.
     """
-    order = _checked_members(g, members)
+    order = tuple(sorted(set(members)))
+    if not order:
+        raise EmptySetError("generator set must be nonempty")
+    if order[0] < 0 or order[-1] >= g.n:
+        raise VertexOutOfRangeError(f"generator vertices must lie in [0, {g.n})")
     if len(order) > _CHUNK:
         # Chunks take the members in depth-first preorder, so each chunk's
         # sources lie close together and reach a vertex at fewer levels: on

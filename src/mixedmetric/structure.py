@@ -79,17 +79,16 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
     adjacency = g.adjacency
     disc = [-1] * g.n
     low = [0] * g.n
-    parent = [-1] * g.n
     edge_stack: list[Edge] = []
 
     # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
-    # Each frame of the DFS path holds a vertex and the iterator over its
-    # neighbours, which resumes where the scan left off.
+    # Each frame of the DFS path holds a vertex, its parent (-1 at the root)
+    # and the iterator over its neighbours, resumed where the scan left off.
     disc[0] = low[0] = 0
     timer = 1
-    path = [(0, iter(adjacency[0]))]
+    path = [(0, -1, iter(adjacency[0]))]
     while path:
-        v, neighbors = path[-1]
+        v, u, neighbors = path[-1]
         # Scan v's neighbours until a tree edge leads down; the loop makes
         # no call per neighbour, and the for-else runs once v is finished.
         for w in neighbors:
@@ -97,10 +96,9 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
                 edge_stack.append((v, w))
                 disc[w] = low[w] = timer
                 timer += 1
-                parent[w] = v
-                path.append((w, iter(adjacency[w])))
+                path.append((w, v, iter(adjacency[w])))
                 break
-            if disc[w] < disc[v] and w != parent[v]:
+            if disc[w] < disc[v] and w != u:
                 # A back edge.  At the root (disc 0) the first test fails.
                 edge_stack.append((v, w))
                 if disc[w] < low[v]:
@@ -108,7 +106,6 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
         else:
             path.pop()
             if path:
-                u = parent[v]
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:

@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from mixedmetric import (
     CactusSpec,
     DisconnectedError,
+    FailingPair,
     InvariantError,
     MixedMetricError,
     ParseError,
     SelfLoopError,
+    build_min_generator,
     random_cactus,
 )
 from mixedmetric.cli import parse_graph_file, run
@@ -151,36 +153,10 @@ def test_parser_matches_the_reference(tmp_path_factory, data):
 
 
 class TestVerbs:
-    def test_classify_json(self, graph_file, capsys):
-        assert run(["classify", graph_file(BOWTIE), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"tag": "Cactus", "cycle_count": 2}
-
     def test_classify_counts_the_cycle_blocks_of_a_general_graph(self, graph_file, capsys):
         k4_and_triangle = K4.replace("4 6", "6 9", 1) + "3 4\n4 5\n5 3\n"
         assert run(["classify", graph_file(k4_and_triangle)]) == 0
         assert capsys.readouterr().out == "class: General\ncycles: 1\n"
-
-    def test_dim_json_schema(self, graph_file, capsys):
-        assert run(["dim", graph_file(BOWTIE), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {
-            "l1": 0,
-            "cycles": [
-                {"id": 0, "rt": 1, "term": 2, "needs_delta": False},
-                {"id": 1, "rt": 1, "term": 2, "needs_delta": False},
-            ],
-            "delta": 0,
-            "total": 4,
-        }
-
-    def test_dim_human_shows_the_formula(self, graph_file, capsys):
-        assert run(["dim", graph_file(BOWTIE)]) == 0
-        out = capsys.readouterr().out
-        assert "l1 = 0" in out and "mdim = 0 + 4 + 0 = 4" in out
-
-    def test_dim_rejects_general_graphs_with_hint(self, graph_file, capsys):
-        assert run(["dim", graph_file(K4)]) == 2
-        assert "oracle" in capsys.readouterr().err
 
     def test_dim_force_oracle_cross_checks(self, graph_file, capsys):
         assert run(["dim", graph_file(BOWTIE), "--force-oracle", "--json"]) == 0
@@ -198,17 +174,6 @@ class TestVerbs:
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 0
         assert len(calls) == 1
 
-    def test_generator_json(self, graph_file, capsys):
-        assert run(["generator", graph_file(BOWTIE), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {
-            "set": [1, 2, 3, 4],
-            "sa": [],
-            "sb": [[1, 2], [3, 4]],
-            "sc": [[], []],
-            "verified": True,
-        }
-
     def test_verify_reports_failing_pair(self, graph_file, capsys):
         assert run(["verify", graph_file(P3), "--set", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -218,11 +183,6 @@ class TestVerbs:
     def test_verify_accepts_generators(self, graph_file, capsys):
         assert run(["verify", graph_file(P3), "--set", "0,2"]) == 0
         assert "true" in capsys.readouterr().out
-
-    def test_oracle_verb(self, graph_file, capsys):
-        assert run(["oracle", graph_file(K4), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {"total": 4, "witness": [0, 1, 2, 3]}
 
     def test_oracle_size_cap(self, graph_file, capsys):
         assert run(["oracle", graph_file(K4), "--max-n", "3"]) == 2
@@ -234,14 +194,6 @@ class TestVerbs:
         assert run(["oracle", graph_file(K4)]) == 2
         assert capsys.readouterr().err == "error: the exact search passed its budget of 2 nodes\n"
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 2
-
-    def test_bounds_verb(self, graph_file, capsys):
-        assert run(["bounds", graph_file(BOWTIE), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"bound": 4, "attained": True}
-
-    def test_bounds_excludes_bare_rings(self, graph_file, capsys):
-        ring = "4 4\n0 1\n1 2\n2 3\n3 0\n"
-        assert run(["bounds", graph_file(ring)]) == 2
 
     def test_generator_roundtrips_through_verify(self, graph_file, capsys):
         path = graph_file(BOWTIE)
@@ -501,6 +453,20 @@ class TestExitCodes:
         assert codes == {error: {ParseError: 1, InvariantError: 3}.get(error, 2)
                          for error in classes}
         assert all("boom" in text for text in messages.values())
+
+    def test_refuted_certificate_is_three(self, graph_file, capsys, monkeypatch):
+        # The oracle's verdict is checked where the certificate is built, so
+        # a library caller cannot be handed a refuted one either.
+        import mixedmetric.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "is_mixed_generator",
+                            lambda g, members: (False, FailingPair(0, 1)))
+        path = graph_file(BOWTIE)
+        with pytest.raises(InvariantError, match="failed oracle verification"):
+            build_min_generator(parse_graph_file(path))
+        assert run(["generator", path]) == 3
+        assert capsys.readouterr() == (
+            "", "internal invariant breach: constructed generator failed oracle verification\n")
 
     def test_construction_mismatch_is_three_under_optimize(self, graph_file):
         # -O strips asserts; the construction check must still fire.

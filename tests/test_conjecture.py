@@ -254,8 +254,12 @@ class TestRunCampaign:
         (dict(density=7.5), InvalidSpecError),
         (dict(density=-0.1), InvalidSpecError),
         (dict(density=float("nan")), InvalidSpecError),
+        (dict(m_strategy="cactus", fixed_m=8), InvalidSpecError),
+        (dict(m_strategy="cactus", density=0.9), InvalidSpecError),
+        (dict(m_strategy="cactus", fixed_m=8, density=0.9), InvalidSpecError),
     ], ids=["unknown-strategy", "removed-fixed-strategy", "density-n-0", "density-n-1",
-            "fixed-n-1", "reversed-n-range", "density-above-1", "density-below-0", "density-nan"])
+            "fixed-n-1", "reversed-n-range", "density-above-1", "density-below-0", "density-nan",
+            "cactus-fixed-m", "cactus-density", "cactus-fixed-m-and-density"])
     def test_config_that_cannot_generate_is_refused_before_the_file_opens(self, tmp_path,
                                                                            fields, error):
         out = tmp_path / "refused.jsonl"
