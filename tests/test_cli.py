@@ -153,10 +153,23 @@ def test_parser_matches_the_reference(tmp_path_factory, data):
 
 
 class TestVerbs:
+    def test_classify_json(self, graph_file, capsys):
+        assert run(["classify", graph_file(BOWTIE), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"tag": "Cactus", "cycle_count": 2}
+
     def test_classify_counts_the_cycle_blocks_of_a_general_graph(self, graph_file, capsys):
         k4_and_triangle = K4.replace("4 6", "6 9", 1) + "3 4\n4 5\n5 3\n"
         assert run(["classify", graph_file(k4_and_triangle)]) == 0
         assert capsys.readouterr().out == "class: General\ncycles: 1\n"
+
+    def test_dim_human_shows_the_formula(self, graph_file, capsys):
+        assert run(["dim", graph_file(BOWTIE)]) == 0
+        out = capsys.readouterr().out
+        assert "l1 = 0" in out and "mdim = 0 + 4 + 0 = 4" in out
+
+    def test_dim_rejects_general_graphs_with_hint(self, graph_file, capsys):
+        assert run(["dim", graph_file(K4)]) == 2
+        assert "oracle" in capsys.readouterr().err
 
     def test_dim_force_oracle_cross_checks(self, graph_file, capsys):
         assert run(["dim", graph_file(BOWTIE), "--force-oracle", "--json"]) == 0
@@ -194,6 +207,14 @@ class TestVerbs:
         assert run(["oracle", graph_file(K4)]) == 2
         assert capsys.readouterr().err == "error: the exact search passed its budget of 2 nodes\n"
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 2
+
+    def test_bounds_verb(self, graph_file, capsys):
+        assert run(["bounds", graph_file(BOWTIE), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"bound": 4, "attained": True}
+
+    def test_bounds_excludes_bare_rings(self, graph_file, capsys):
+        ring = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+        assert run(["bounds", graph_file(ring)]) == 2
 
     def test_generator_roundtrips_through_verify(self, graph_file, capsys):
         path = graph_file(BOWTIE)
