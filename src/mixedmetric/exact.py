@@ -71,14 +71,14 @@ def mdim_exact(g: Graph) -> MdimReport:
     if d.cycles is None:
         raise NotACactusError("exact formula applies to cacti only")
     l1 = d.stats.l1
-    terms = tuple(
-        CycleTerm(cycle_id=i, rt=c.rt, max_term=max(3 - c.rt, 0),
-                  needs_delta=c.rt >= 3 and not has_geodesic_triple(c.length, c.root_positions))
-        for i, c in enumerate(d.cycles)
-    )
+    terms: list[CycleTerm] = []
+    for i, (ring, roots) in enumerate(d.cycles):
+        rt = len(roots)
+        terms.append(CycleTerm(i, rt, max(3 - rt, 0),
+                               rt >= 3 and not has_geodesic_triple(len(ring), roots)))
     delta = sum(t.needs_delta for t in terms)
     total = l1 + sum(t.max_term for t in terms) + delta
-    return MdimReport(l1=l1, per_cycle=terms, delta=delta, total=total)
+    return MdimReport(l1=l1, per_cycle=tuple(terms), delta=delta, total=total)
 
 
 def build_min_generator(g: Graph) -> GeneratorCertificate:
@@ -97,15 +97,15 @@ def build_min_generator(g: Graph) -> GeneratorCertificate:
     sa = tuple(sorted(d.stats.leaf_set))
     sb: list[tuple[int, ...]] = []
     sc: list[tuple[int, ...]] = []
-    for term, cycle in zip(report.per_cycle, d.cycles):
+    for term, (ring, roots) in zip(report.per_cycle, d.cycles):
         expected = term.max_term + term.needs_delta
-        positions = augment_for_triple(cycle.length, cycle.root_positions) if expected else ()
+        positions = augment_for_triple(len(ring), roots) if expected else ()
         if len(positions) != expected:
             raise InvariantError(
                 f"cycle {term.cycle_id}: {len(positions)} ring vertices added, "
                 f"formula term is {expected}"
             )
-        added = tuple(sorted(cycle.ring[p] for p in positions))
+        added = tuple(sorted(ring[p] for p in positions))
         # needs_delta needs rt >= 3, where max_term is 0: one part stays empty.
         sb.append(() if term.needs_delta else added)
         sc.append(added if term.needs_delta else ())

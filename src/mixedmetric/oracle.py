@@ -9,13 +9,20 @@ distance exactly L, so two elements have equal codes exactly when their
 distance profiles are equal; an edge's code follows from its endpoints'.
 The search yields the codes level by level, and after level L they hold
 fields 0..L of the whole codes.  Verification searches from the members
-of S only, _CHUNK at a time in depth-first preorder, and compares codes
-exactly, with no all-pairs matrix: O(|S| / _CHUNK levels (n + m))
-operations on ints of up to _CHUNK levels bits, and O(_CHUNK levels
-(n + m)) bits of memory, where levels is the largest distance from a
-member.  The last chunk's search stops at the first checked level whose
-cut codes already tell every element apart, so a generator pays that
-chunk's levels only up to there; a failing set pays every level.
+of S only, _CHUNK at a time in depth-first preorder, and refines a
+partition of the elements by their codes exactly, with no all-pairs
+matrix: O(|S| / _CHUNK levels (n + m)) operations on ints of up to
+_CHUNK levels bits, and O(_CHUNK levels (n + m)) bits of memory, where
+levels is the largest distance from a member.  An element alone in its
+class stays alone under any refinement (the invariant of partition
+refinement, Paige and Tarjan, "Three partition refinement algorithms",
+1987), so a check keys only the live elements, those still sharing their
+class, and drops the rest.  Each chunk checks once its search ends, and
+the last chunk also whenever the vertices its search reached since the
+previous check number _PACE times the live elements: those checks cost
+at most 1 / _PACE of the search's work.  Verification ends once no
+element is live, so a generator pays the last chunk's levels only up to
+there; a failing set pays every level.
 
 The exact dimension is a minimum hitting set (the set-cover view of
 Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
@@ -33,11 +40,11 @@ subsets by size would return.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count, islice
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
-from .graph import Element, Graph, graph_stats, preorder
+from .graph import Edge, Element, Graph, graph_stats, preorder
 
 # Sources searched from at once by is_mixed_generator; a chunk's codes hold
 # about _CHUNK levels (n + m) bits.  256 checks every set perfbench
@@ -47,6 +54,13 @@ from .graph import Element, Graph, graph_stats, preorder
 # with 128, 5.8-6.0 s at 85 MB with 256 and 4.6 s at 132 MB with 512, in
 # one quiet period of a 2-core x86 VM whose speed varies by up to 2.5x.
 _CHUNK = 256
+
+# A check keys every live element, so the last chunk checks once the
+# vertices its search reached since the last check number _PACE times the
+# live elements.  Checking the certificates of 60 cacti of perfbench's
+# cactus-certify-small on a 2-core x86 VM, 2 ran 1.44x as fast as checks
+# at levels 1, 2, 4, 8, ..., 1 ran 1.30x, 3 1.07x and 4 0.81x.
+_PACE = 2
 
 
 class FailingPair(NamedTuple):
@@ -73,14 +87,18 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     vertices before edges and lexicographically within each kind.
 
     Searches breadth-first from the members only, _CHUNK of them at a
-    time, and refines one class label per element with each chunk's codes,
-    so two elements end in one class exactly when their whole profiles
-    agree.  The last chunk's search stops at the first of levels 1, 2, 4,
-    8, ... where the codes cut there already tell every element apart.
-    Time O(|S| / _CHUNK levels (n + m)) operations on ints of up to _CHUNK
-    levels bits, where a generator's last chunk counts levels only up to
-    that stop and a failing set counts every level; memory O(_CHUNK
-    levels (n + m)) bits.
+    time, and refines a partition of the elements by their codes: two
+    elements end in one class exactly when their whole profiles agree.
+    Only the live elements, those still sharing their class, are keyed,
+    and each check drops the ones left alone, which no later code can
+    join again.  Every chunk checks once its search ends; the last chunk
+    also checks whenever the vertices its search reached since the last
+    check number _PACE times the live elements, so those checks cost at
+    most 1 / _PACE of the search's work, and it stops once no element is
+    live.  Time O(|S| / _CHUNK levels (n + m)) operations on ints of up
+    to _CHUNK levels bits, where a generator's last chunk counts levels
+    only up to the check that empties the live set and a failing set
+    counts every level; memory O(_CHUNK levels (n + m)) bits.
     """
     order = tuple(sorted(set(members)))
     if not order:
@@ -94,71 +112,83 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
         position = preorder(g.adjacency)
         order = sorted(order, key=position.__getitem__)
     bits = (g.n + g.m).bit_length()
+    # The live vertices and edges, each in element order, and the class of
+    # each, vertices first, as the last check left it: none before the first.
+    vertices: Sequence[int] = range(g.n)
+    edges: Sequence[Edge] = g.edges
     labels: list[int] = []
     for start in range(0, len(order), _CHUNK):
         sources = order[start:start + _CHUNK]
         k = len(sources)
         last = start + _CHUNK >= len(order)
-        for level, codes in enumerate(_element_codes(g, sources)):
-            # The last chunk checks levels 1, 2, 4, 8, ...  Codes cut after
-            # a level are exact prefixes of the whole codes, so if they tell
-            # every element apart, so do the whole profiles.  Earlier chunks
-            # need every level for their labels, and checking every level
-            # cost more than it saved.
-            if last and level and not level & (level - 1) and _separated(g, codes, k, labels, bits):
-                return True, None
-        # Extended in place: a copy would hold the codes twice at the peak.
-        codes += _edge_codes(g, codes, k)
-        if labels:
-            # Keys are ints, not (label, code) tuples, which the collector
-            # tracks, and are packed in place, so no second list is built.
-            for i, label in enumerate(labels):
-                codes[i] = codes[i] << bits | label
-        ids: dict[int, int] = {}
-        labels = [ids.setdefault(code, len(ids)) for code in codes]
-        if len(ids) == len(labels):
-            # Every element is alone in its class, and later chunks only split classes.
+        work = 0
+        for codes, reached in _element_codes(g, sources):
+            # Codes cut after a level are exact prefixes of the whole codes,
+            # so an element alone under them stays alone.  Earlier chunks
+            # need the whole codes for their labels, so only the last one
+            # checks before its search ends.
+            work += reached
+            if last and work >= _PACE * (len(vertices) + len(edges)):
+                work = 0
+                vertices, edges, labels = _refine(_keys(codes, k, vertices, edges),
+                                                  vertices, edges, labels, bits)
+                if not labels:
+                    return True, None
+        keys = _keys(codes, k, vertices, edges)
+        # The search is spent: with its codes gone, _refine packs the keys
+        # in place and the whole codes are never held twice.
+        del codes
+        vertices, edges, labels = _refine(keys, vertices, edges, labels, bits)
+        # Free this chunk's keys before the next chunk's search builds its codes.
+        del keys
+        if not labels:
             return True, None
-        # Free this chunk's codes before the next chunk's search builds its own.
-        del codes, ids
-    # Labels number the classes in the order of their first members, so the
-    # smallest shared label opens the pair; its class's next member closes it.
-    sizes = Counter(labels)
-    label = min(label for label, size in sizes.items() if size > 1)
-    first = labels.index(label)
-    second = labels.index(label, first + 1)
-    elements = element_order(g)
-    return False, FailingPair(elements[first], elements[second])
+    # Classes are numbered in the order of their first members, and only
+    # shared classes are left: the first live element opens the first
+    # failing pair, and the next one in its class closes it.
+    live = vertices + edges
+    return False, FailingPair(live[0], live[labels.index(labels[0], 1)])
 
 
-def _separated(g: Graph, codes: list[int], k: int, labels: list[int], bits: int) -> bool:
-    """Whether vertex codes cut after some level, with their edges' and the
-    earlier chunks' labels, tell every element apart.
+def _keys(codes: list[int], k: int, vertices: Sequence[int], edges: Sequence[Edge]) -> list[int]:
+    """The codes of the live vertices, then of the live edges."""
+    keys = [codes[v] for v in vertices]
+    keys += _edge_codes(edges, codes, k)
+    return keys
 
-    The vertices' keys come first and the edges' one at a time, so a check
-    stops at the first repeat without building the other edges' codes.
+
+def _refine(keys: list[int], vertices: Sequence[int], edges: Sequence[Edge], labels: list[int],
+            bits: int) -> tuple[list[int], list[Edge], list[int]]:
+    """The live vertices and edges that still share their class, with their classes.
+
+    keys[i] is the code of the i-th live element, vertices first, and is
+    packed in place with its label, so an element's class is the pair of
+    its label and its code: ints, not tuples, which the collector tracks.
+    Classes are numbered in the order of their first members.
     """
-    keys = chain(codes, _edge_codes(g, codes, k))
     if labels:
-        keys = (code << bits | label for code, label in zip(keys, labels))
-    seen = set(islice(keys, g.n))
-    if len(seen) < g.n:
-        return False
-    for key in keys:
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+        for i, label in enumerate(labels):
+            keys[i] = keys[i] << bits | label
+    ids: dict[int, int] = {}
+    classes = [ids.setdefault(key, len(ids)) for key in keys]
+    if len(ids) == len(classes):
+        return [], [], []
+    sizes = Counter(classes)
+    tied = [sizes[c] > 1 for c in classes]
+    split = len(vertices)
+    return (list(compress(vertices, tied[:split])), list(compress(edges, tied[split:])),
+            list(compress(classes, tied)))
 
 
-def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[list[int]]:
+def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], int]]:
     """Distance codes of the vertices from distinct sources, level by level.
 
     Bit L k + i of a code (k = len(sources)) is set when the vertex lies at
-    distance exactly L from sources[i].  Yields one list, in vertex order,
-    after level 0 and after each later level that reaches a vertex; the
-    list is updated in place, so after level L it holds fields 0..L of
-    every code, and the whole codes once the generator is exhausted.
+    distance exactly L from sources[i].  After level 0 and after each later
+    level that reaches a vertex, yields the list of codes in vertex order
+    and the number of vertices that level reached.  The list is updated in
+    place, so after level L it holds fields 0..L of every code, and the
+    whole codes once the generator is exhausted.
 
     Level-synchronous: cur[v] holds the sources whose search reached v at
     the current level, nxt[v] those reaching it at the next, and unreached[v]
@@ -176,7 +206,7 @@ def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[list[int]]:
     frontier = list(sources)
     shift = 0
     while True:
-        yield code
+        yield code, len(frontier)
         shift += k
         reached = []
         for u in frontier:
@@ -197,18 +227,18 @@ def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[list[int]]:
         cur, nxt = nxt, cur
 
 
-def _edge_codes(g: Graph, codes: list[int], k: int) -> Iterator[int]:
-    """Codes of the edges, in g.edges order, from their endpoints' codes.
+def _edge_codes(edges: Iterable[Edge], codes: list[int], k: int) -> Iterator[int]:
+    """Codes of the edges, in their order, from their endpoints' codes.
 
     Adjacent vertices differ by at most one level and an edge lies at the
     nearer endpoint's, so with X the OR of its endpoints' codes an edge's
     code is X & ~(X << k), built as X ^ (X & (X << k)) so that no negative
     int is made.  Its field L needs only fields L and L - 1 of X, so vertex
     codes cut after a level give the edges' codes cut there.
-    Lazy, and it reads only the first g.n entries, so a caller may extend
+    Lazy, and it reads only the endpoints' entries, so a caller may extend
     the vertex codes with it in place.
     """
-    return ((x := codes[u] | codes[v]) ^ (x & (x << k)) for u, v in g.edges)
+    return ((x := codes[u] | codes[v]) ^ (x & (x << k)) for u, v in edges)
 
 
 def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
@@ -231,8 +261,8 @@ def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
     # A set missing a leaf cannot tell the leaf's neighbour from its pendant edge.
     forced = graph_stats(g).leaf_set
-    *_, codes = _element_codes(g, range(g.n))
-    codes += _edge_codes(g, codes, g.n)
+    *_, (codes, _) = _element_codes(g, range(g.n))
+    codes += _edge_codes(g.edges, codes, g.n)
     constraints = _constraints(codes, g.n, forced)
     candidates = [v for v in range(g.n) if v not in forced]
     nodes = count(1)

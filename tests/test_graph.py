@@ -173,8 +173,8 @@ def decode(codes, k):
 
 def element_codes(g, sources):
     """The oracle's codes in element_order: its search run to the last level, then the edges'."""
-    *_, codes = _element_codes(g, sources)
-    return codes + list(_edge_codes(g, codes, len(sources)))
+    *_, (codes, _) = _element_codes(g, sources)
+    return codes + list(_edge_codes(g.edges, codes, len(sources)))
 
 
 def element_rows(g):
@@ -266,14 +266,16 @@ def test_codes_from_some_sources_match_networkx(g, data):
 def test_each_level_gives_exact_prefixes(g, data):
     # After level L every vertex code, and so every edge code, holds
     # fields 0..L of its whole code, and the levels end at the last one
-    # that reaches a vertex.
+    # that reaches a vertex.  Each level also counts the vertices it reached:
+    # those whose field at that level is nonzero.
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
     k = len(sources)
     whole = element_codes(g, sources)
     levels = 0
-    for level, codes in enumerate(_element_codes(g, sources)):
+    for level, (codes, reached) in enumerate(_element_codes(g, sources)):
         cut = (1 << (level + 1) * k) - 1
-        assert codes + list(_edge_codes(g, codes, k)) == [code & cut for code in whole]
+        assert codes + list(_edge_codes(g.edges, codes, k)) == [code & cut for code in whole]
+        assert reached == sum(1 for code in whole[:g.n] if code >> level * k & (1 << k) - 1)
         levels = level
     top = max(whole)
     assert top >> levels * k and not top >> (levels + 1) * k

@@ -12,6 +12,7 @@ from mixedmetric import (
     TooLargeError,
     brute_force_mdim,
     build_min_generator,
+    decompose,
     element_order,
     graph_stats,
     is_mixed_generator,
@@ -194,24 +195,26 @@ graphs_up_to_12 = st.one_of(
 
 
 @pytest.mark.parametrize("width", [1, 3, oracle._CHUNK])
-@given(g=graphs_up_to_12, seed=st.integers(0, 10**6), grow=st.booleans())
+@given(g=graphs_up_to_12, seed=st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
-def test_verdict_and_pair_match_the_reference(width, g, seed, grow):
-    # Widths 1 and 3 make every set cross chunk boundaries.  A grown set
-    # is a brute-force witness plus extras, so it always generates; a
-    # random set mostly fails.
+def test_verdict_and_pair_match_the_reference(width, g, seed):
+    # Widths 1 and 3 make most sets cross chunk boundaries.  Per graph: a
+    # generator (a cactus's certificate, else the exact search's witness),
+    # that set without one member, which mostly fails, and a random set.
     rng = random.Random(seed)
-    if grow:
-        base = set(brute_force_mdim(g).witness)
-        members = base | set(rng.sample(range(g.n), rng.randint(0, g.n - len(base))))
+    if decompose(g).cycles is not None:
+        base = list(build_min_generator(g).vertices)
     else:
-        members = set(rng.sample(range(g.n), rng.randint(1, g.n)))
+        base = list(brute_force_mdim(g).witness)
+    dropped = base[:]
+    del dropped[rng.randrange(len(dropped))]
+    sets = [base, dropped, rng.sample(range(g.n), rng.randint(1, g.n))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK", width)
-        got = is_mixed_generator(g, members)
-    assert got == reference_is_mixed_generator(g, members)
-    if grow:
-        assert got == (True, None)
+        got = [is_mixed_generator(g, members) if members else None for members in sets]
+    assert got == [reference_is_mixed_generator(g, members) if members else None
+                   for members in sets]
+    assert got[0] == (True, None)
 
 
 # Connected graphs and cacti with n <= 10: a cactus of at most two cycles
@@ -307,28 +310,33 @@ def test_early_stop_matches_the_reference_on_cacti(monkeypatch, width, cycles, s
         assert is_mixed_generator(g, members) == reference_is_mixed_generator(g, members)
 
 
-def test_a_certificate_stops_before_the_last_level(monkeypatch):
+def test_a_certificate_stops_at_its_first_separating_level(monkeypatch):
+    # The certificate's cut codes first tell every element apart at level
+    # 6 of 23.  The check there is the first the pace allows (the vertices
+    # reached by then first number twice the 387 elements), so the search
+    # draws levels 0..6; checks at levels 1, 2, 4, 8, ... drew up to level 8.
     g = random_cactus(CactusSpec(30, (3, 8), 30, 2))
     cert = build_min_generator(g).vertices
     drawn = levels_drawn(monkeypatch)
     assert is_mixed_generator(g, cert) == (True, None)
-    assert drawn[0] < all_levels(g, sorted(cert))
+    assert drawn == [7]
+    assert all_levels(g, sorted(cert)) == 24
     # A set that fails still runs every level.
     drawn.clear()
     assert is_mixed_generator(g, cert[1:])[0] is False
     assert drawn == [all_levels(g, sorted(cert[1:]))]
 
 
-@pytest.mark.parametrize("n, drawn_levels", [(10, 9), (12, 12)])
-def test_path_leaves_separate_only_near_the_last_level(monkeypatch, n, drawn_levels):
+@pytest.mark.parametrize("n", [10, 12])
+def test_path_leaves_separate_only_at_the_search_end(monkeypatch, n):
     # Vertex 0 and edge (0, 1) agree on leaf 0 and differ on leaf n - 1
-    # only at level n - 2, one short of the last level n - 1.  For n = 10
-    # that is level 8, a checked level; for n = 12 it is level 10, so
-    # only the run to the last level tells them apart.
+    # only at level n - 2, one short of the last level n - 1.  Each level
+    # reaches two vertices, never twice the 2n - 1 live elements, so only
+    # the check at the search's end passes the set.
     g = path(n)
     drawn = levels_drawn(monkeypatch)
     assert is_mixed_generator(g, {0, n - 1}) == (True, None)
-    assert drawn == [drawn_levels]
+    assert drawn == [n]
     assert all_levels(g, [0, n - 1]) == n
     assert reference_is_mixed_generator(g, {0, n - 1}) == (True, None)
 
