@@ -34,10 +34,10 @@ print("the root positions exactly?", marked == cycle.root_positions)
 
 # Clustered positions 0, 1, 2 cut the 8-ring into arcs 1, 1, 6: the long
 # arc exceeds half the ring, so no geodesic triple exists yet.
-print("geodesic triple already?", has_geodesic_triple(cycle.length, marked))
+print("geodesic triple already?", has_geodesic_triple(len(cycle.ring), marked))
 
 # One extra ring position fixes that; the smallest choice is position 4,
 # because (0, 2, 4) cuts arcs 2, 2, 4 which all fit within half the ring.
-extra = augment_for_triple(cycle.length, marked)
+extra = augment_for_triple(len(cycle.ring), marked)
 print("smallest completion:", sorted(extra))
-print("after adding it:", has_geodesic_triple(cycle.length, marked | extra))
+print("after adding it:", has_geodesic_triple(len(cycle.ring), marked | extra))

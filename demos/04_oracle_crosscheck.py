@@ -9,7 +9,6 @@ from mixedmetric import (
     CactusSpec,
     brute_force_mdim,
     build_graph,
-    element_order,
     graph_stats,
     is_mixed_generator,
     mdim_exact,
@@ -42,7 +41,8 @@ print("P3 with {1}:", ok, "| first failing pair:", pair)
 ok, _ = is_mixed_generator(p3, {0, 2})
 print("P3 with {0, 2}:", ok)
 dist = {s: distances_from(p3, s) for s in (0, 2)}
-for element in element_order(p3):
+# Vertices first, then the edges, the order a failing pair follows.
+for element in (*range(p3.n), *p3.edges):
     ends = [element] if isinstance(element, int) else list(element)
     print("   ", element, "->", tuple(min(dist[s][e] for e in ends) for s in (0, 2)))
 

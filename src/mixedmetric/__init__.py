@@ -30,8 +30,7 @@ _HOMES = {
         "exact": ("BoundReport", "CycleTerm", "GeneratorCertificate", "MdimReport",
                   "bound_report", "build_min_generator", "mdim_exact"),
         "graph": ("Edge", "Element", "Graph", "GraphStats", "build_graph", "graph_stats"),
-        "oracle": ("FailingPair", "SearchResult", "brute_force_mdim", "element_order",
-                   "is_mixed_generator"),
+        "oracle": ("FailingPair", "SearchResult", "brute_force_mdim", "is_mixed_generator"),
         "structure": ("CycleInfo", "Decomposition", "GraphClass", "GraphClassTag",
                       "augment_for_triple", "biconnected_blocks", "classify", "decompose",
                       "has_geodesic_triple"),

@@ -2,9 +2,9 @@
 
 Vertices are the integers 0..n-1 and edges are stored canonically as
 (min, max) pairs.  Every analysis entry point in the package assumes the
-graph is connected, so connectedness is enforced at construction time.
-Distances live in the oracle (oracle._element_codes); this module keeps
-the package's one reachability walk, preorder.
+graph is connected, so connectedness is enforced at construction time,
+by the package's one reachability walk.  Distances live in the oracle
+(oracle._element_codes).
 """
 
 from __future__ import annotations
@@ -130,11 +130,18 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     if not valid:
         _raise_first_bad_edge(n, edge_list, ids)
 
-    position = preorder(adjacency)
-    if min(position) < 0:
-        # index(-1) finds the smallest unreached vertex.
-        missing = position.index(-1)
-        raise DisconnectedError(f"vertex {missing} not reachable from vertex 0")
+    # A depth-first walk from vertex 0; index(False) names the smallest
+    # vertex it misses.
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    if not all(seen):
+        raise DisconnectedError(f"vertex {seen.index(False)} not reachable from vertex 0")
     return Graph(n=n, edges=edges, adjacency=adjacency)
 
 
@@ -160,23 +167,6 @@ def _raise_first_bad_edge(n: int, edge_list: Iterable[Sequence[int]], ids: list[
         # fails at the same edge.
         ids[u], ids[v]
     raise InvariantError("the edge scan found no fault in an edge list build_graph refused")
-
-
-def preorder(adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """Position of each vertex in a depth-first preorder from vertex 0.
-
-    A vertex the walk does not reach gets -1.
-    """
-    position = [-1] * len(adjacency)
-    stack = [0]
-    visited = 0
-    while stack:
-        v = stack.pop()
-        if position[v] < 0:
-            position[v] = visited
-            visited += 1
-            stack.extend(adjacency[v])
-    return position
 
 
 def graph_stats(g: Graph) -> GraphStats:

@@ -8,21 +8,24 @@ element's code holds in field L (bits L k .. L k + k - 1) the sources at
 distance exactly L, so two elements have equal codes exactly when their
 distance profiles are equal; an edge's code follows from its endpoints'.
 The search yields the codes level by level, and after level L they hold
-fields 0..L of the whole codes.  Verification searches from the members
-of S only, _CHUNK at a time in depth-first preorder, and refines a
-partition of the elements by their codes exactly, with no all-pairs
-matrix: O(|S| / _CHUNK levels (n + m)) operations on ints of up to
-_CHUNK levels bits, and O(_CHUNK levels (n + m)) bits of memory, where
-levels is the largest distance from a member.  An element alone in its
-class stays alone under any refinement (the invariant of partition
-refinement, Paige and Tarjan, "Three partition refinement algorithms",
-1987), so a check keys only the live elements, those still sharing their
-class, and drops the rest.  Each chunk checks once its search ends, and
-the last chunk also whenever the vertices its search reached since the
-previous check number _PACE times the live elements: those checks cost
-at most 1 / _PACE of the search's work.  Verification ends once no
-element is live, so a generator pays the last chunk's levels only up to
-there; a failing set pays every level.
+fields 0..L of the whole codes.  Verification searches from all the
+members of S at once and refines a partition of the elements by their
+codes exactly, with no all-pairs matrix.  An element alone in its class
+stays alone under any refinement (the invariant of partition refinement,
+Paige and Tarjan, "Three partition refinement algorithms", 1987), so a
+check keys only the live elements, those still sharing their class, and
+drops the rest.  The search checks whenever the vertices it reached since
+the previous check number _PACE times the live elements, so those checks
+cost at most 1 / _PACE of its work, whenever its codes hold
+max(_WINDOW // |S|, 2) fields since the previous check, and once it ends.
+The labels then hold every field the check keyed, so each code is cut to
+its newest field, which the edges' next fields need: an edge's field L is
+X_L & ~X_(L-1), X the OR of its endpoints' codes.  Keys after a cut drop
+that overlap field.  So verification takes O(levels (n + m)) operations
+on ints of up to max(_WINDOW, 2 |S|) bits and O(max(_WINDOW, 2 |S|)
+(n + m)) bits of memory, whatever the diameter, where levels is the
+largest distance from a member.  It ends once no element is live, so a
+generator pays levels only up to there; a failing set pays every level.
 
 The exact dimension is a minimum hitting set (the set-cover view of
 Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
@@ -41,25 +44,24 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import compress, count
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
-from .graph import Edge, Element, Graph, graph_stats, preorder
+from .graph import Edge, Element, Graph, graph_stats
 
-# Sources searched from at once by is_mixed_generator; a chunk's codes hold
-# about _CHUNK levels (n + m) bits.  256 checks every set perfbench
-# certifies in one pass (its 120-cycle cacti need |S| <= 242 over 200
-# seeds).  The |S| = 5600 certificate of the n = 16299 cactus of
-# CactusSpec(3000, (3, 8), 3000, 12345) checked in 7.6 s at 66 MB peak RSS
-# with 128, 5.8-6.0 s at 85 MB with 256 and 4.6 s at 132 MB with 512, in
-# one quiet period of a 2-core x86 VM whose speed varies by up to 2.5x.
-_CHUNK = 256
+# Bits of new fields a code holds between checks: is_mixed_generator checks
+# once the codes hold max(_WINDOW // |S|, 2) fields since the last check, so
+# they hold O(max(_WINDOW, 2 |S|)) bits whatever the diameter.  That is at
+# least 16 fields at the |S| <= 242 of perfbench's certificates, which tell
+# every element apart by level 4-10, so their searches check on the pace
+# alone.
+_WINDOW = 4096
 
-# A check keys every live element, so the last chunk checks once the
-# vertices its search reached since the last check number _PACE times the
-# live elements.  Checking the certificates of 60 cacti of perfbench's
-# cactus-certify-small on a 2-core x86 VM, 2 ran 1.44x as fast as checks
-# at levels 1, 2, 4, 8, ..., 1 ran 1.30x, 3 1.07x and 4 0.81x.
+# A check keys every live element, so the search checks once the vertices
+# it reached since the last check number _PACE times the live elements.
+# Checking the certificates of 60 cacti of perfbench's cactus-certify-small
+# on a 2-core x86 VM, 2 ran 1.44x as fast as checks at levels 1, 2, 4, 8,
+# ..., 1 ran 1.30x, 3 1.07x and 4 0.81x.
 _PACE = 2
 
 
@@ -75,74 +77,62 @@ class SearchResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def element_order(g: Graph) -> tuple[Element, ...]:
-    """Vertices in id order, then canonical edges in sorted order."""
-    return tuple(range(g.n)) + g.edges
-
-
 def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingPair | None]:
     """Decide whether the set distinguishes all vertex/edge elements.
 
     On failure also returns the first failing pair, ordering elements as
     vertices before edges and lexicographically within each kind.
 
-    Searches breadth-first from the members only, _CHUNK of them at a
-    time, and refines a partition of the elements by their codes: two
-    elements end in one class exactly when their whole profiles agree.
-    Only the live elements, those still sharing their class, are keyed,
-    and each check drops the ones left alone, which no later code can
-    join again.  Every chunk checks once its search ends; the last chunk
-    also checks whenever the vertices its search reached since the last
-    check number _PACE times the live elements, so those checks cost at
-    most 1 / _PACE of the search's work, and it stops once no element is
-    live.  Time O(|S| / _CHUNK levels (n + m)) operations on ints of up
-    to _CHUNK levels bits, where a generator's last chunk counts levels
-    only up to the check that empties the live set and a failing set
-    counts every level; memory O(_CHUNK levels (n + m)) bits.
+    Searches breadth-first from all the members at once and refines a
+    partition of the elements by their codes: two elements end in one
+    class exactly when their whole profiles agree.  Only the live
+    elements, those still sharing their class, are keyed, and each check
+    drops the ones left alone, which no later code can join again.  The
+    search checks whenever the vertices it reached since the last check
+    number _PACE times the live elements, so those checks cost at most
+    1 / _PACE of its work, whenever the codes hold max(_WINDOW // |S|, 2)
+    fields since the last check, and once it ends; it stops once no
+    element is live.  Each check cuts the codes to their newest field.
+    Time O(levels (n + m)) operations on ints of up to max(_WINDOW, 2 |S|)
+    bits, where a generator counts levels only up to the check that
+    empties the live set and a failing set counts every level; memory
+    O(max(_WINDOW, 2 |S|) (n + m)) bits.
     """
     order = tuple(sorted(set(members)))
     if not order:
         raise EmptySetError("generator set must be nonempty")
     if order[0] < 0 or order[-1] >= g.n:
         raise VertexOutOfRangeError(f"generator vertices must lie in [0, {g.n})")
-    if len(order) > _CHUNK:
-        # Chunks take the members in depth-first preorder, so each chunk's
-        # sources lie close together and reach a vertex at fewer levels: on
-        # the n = 16299 check (see _CHUNK) this cut 22.7 s to 13.8 s.
-        position = preorder(g.adjacency)
-        order = sorted(order, key=position.__getitem__)
+    k = len(order)
+    window = max(_WINDOW // k, 2)
     bits = (g.n + g.m).bit_length()
     # The live vertices and edges, each in element order, and the class of
     # each, vertices first, as the last check left it: none before the first.
     vertices: Sequence[int] = range(g.n)
     edges: Sequence[Edge] = g.edges
     labels: list[int] = []
-    for start in range(0, len(order), _CHUNK):
-        sources = order[start:start + _CHUNK]
-        k = len(sources)
-        last = start + _CHUNK >= len(order)
-        work = 0
-        for codes, reached in _element_codes(g, sources):
-            # Codes cut after a level are exact prefixes of the whole codes,
-            # so an element alone under them stays alone.  Earlier chunks
-            # need the whole codes for their labels, so only the last one
-            # checks before its search ends.
-            work += reached
-            if last and work >= _PACE * (len(vertices) + len(edges)):
-                work = 0
-                vertices, edges, labels = _refine(_keys(codes, k, vertices, edges),
-                                                  vertices, edges, labels, bits)
-                if not labels:
-                    return True, None
-        keys = _keys(codes, k, vertices, edges)
-        # The search is spent: with its codes gone, _refine packs the keys
-        # in place and the whole codes are never held twice.
-        del codes
-        vertices, edges, labels = _refine(keys, vertices, edges, labels, bits)
-        # Free this chunk's keys before the next chunk's search builds its codes.
-        del keys
-        if not labels:
-            return True, None
+    # Until the first cut a code's lowest field is field 0; after one it is
+    # the overlap field, which the labels already hold, and the keys drop it.
+    drop = fields = work = 0
+    levels = _element_codes(g, order)
+    cut = None
+    while True:
+        codes, reached = levels.send(cut)
+        fields += 1
+        work += reached
+        # A level that reaches no vertex ends the search.  When the level
+        # before it was checked, this check keys no new field and leaves
+        # the classes as they are.
+        cut = not reached or fields >= window or work >= _PACE * (len(vertices) + len(edges))
+        if cut:
+            vertices, edges, labels = _refine(_keys(codes, k, vertices, edges, drop),
+                                              vertices, edges, labels, bits)
+            if not labels:
+                return True, None
+            if not reached:
+                break
+            drop = k
+            fields = work = 0
     # Classes are numbered in the order of their first members, and only
     # shared classes are left: the first live element opens the first
     # failing pair, and the next one in its class closes it.
@@ -150,10 +140,17 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     return False, FailingPair(live[0], live[labels.index(labels[0], 1)])
 
 
-def _keys(codes: list[int], k: int, vertices: Sequence[int], edges: Sequence[Edge]) -> list[int]:
-    """The codes of the live vertices, then of the live edges."""
-    keys = [codes[v] for v in vertices]
-    keys += _edge_codes(edges, codes, k)
+def _keys(codes: list[int], k: int, vertices: Sequence[int], edges: Sequence[Edge],
+          drop: int) -> list[int]:
+    """The codes of the live vertices, then of the live edges, less their lowest drop bits."""
+    # A shift by 0 would still copy every key: about 2.5x the cost of
+    # keying the codes as they are, before any cut.
+    if not drop:
+        keys = [codes[v] for v in vertices]
+        keys += _edge_codes(edges, codes, k)
+        return keys
+    keys = [codes[v] >> drop for v in vertices]
+    keys += [code >> drop for code in _edge_codes(edges, codes, k)]
     return keys
 
 
@@ -180,15 +177,18 @@ def _refine(keys: list[int], vertices: Sequence[int], edges: Sequence[Edge], lab
             list(compress(classes, tied)))
 
 
-def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int], int]]:
+def _element_codes(g: Graph,
+                   sources: Sequence[int]) -> Generator[tuple[list[int], int], bool | None, None]:
     """Distance codes of the vertices from distinct sources, level by level.
 
     Bit L k + i of a code (k = len(sources)) is set when the vertex lies at
     distance exactly L from sources[i].  After level 0 and after each later
     level that reaches a vertex, yields the list of codes in vertex order
-    and the number of vertices that level reached.  The list is updated in
-    place, so after level L it holds fields 0..L of every code, and the
-    whole codes once the generator is exhausted.
+    and the number of vertices that level reached, and once more with 0
+    when the search is spent.  The list is updated in place, so after level
+    L it holds fields 0..L of every code, and the whole codes at the end.
+    Sending True cuts every code to its newest field: after a cut at level
+    C, the list holds fields C..L of every code, shifted down by C k bits.
 
     Level-synchronous: cur[v] holds the sources whose search reached v at
     the current level, nxt[v] those reaching it at the next, and unreached[v]
@@ -205,8 +205,11 @@ def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int]
         unreached[s] ^= 1 << i
     frontier = list(sources)
     shift = 0
-    while True:
-        yield code, len(frontier)
+    while frontier:
+        if (yield code, len(frontier)):
+            # A code holds no field past the current level's.
+            code[:] = [c >> shift for c in code]
+            shift = 0
         shift += k
         reached = []
         for u in frontier:
@@ -219,12 +222,11 @@ def _element_codes(g: Graph, sources: Sequence[int]) -> Iterator[tuple[list[int]
                     if not nxt[v]:
                         reached.append(v)
                     nxt[v] |= new
-        if not reached:
-            return
         for v in reached:
             code[v] |= nxt[v] << shift
         frontier = reached
         cur, nxt = nxt, cur
+    yield code, 0
 
 
 def _edge_codes(edges: Iterable[Edge], codes: list[int], k: int) -> Iterator[int]:

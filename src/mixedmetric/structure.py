@@ -54,10 +54,6 @@ class CycleInfo(NamedTuple):
     root_positions: frozenset[int]
 
     @property
-    def length(self) -> int:
-        return len(self.ring)
-
-    @property
     def rt(self) -> int:
         return len(self.root_positions)
 

@@ -24,14 +24,13 @@ from mixedmetric import (
     ParseError,
     SearchResult,
     build_graph,
-    element_order,
     has_geodesic_triple,
 )
 from mixedmetric.conjecture import _prufer_edges
 
 
 def _element_rows(g):
-    # Row per element, in element_order: its distance to every vertex.
+    # Row per element, vertices then edges: its distance to every vertex.
     dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edges)))
     vertex_rows = [tuple(dist[v][s] for s in range(g.n)) for v in range(g.n)]
     return vertex_rows + [tuple(map(min, vertex_rows[u], vertex_rows[v])) for u, v in g.edges]
@@ -47,7 +46,7 @@ def reference_is_mixed_generator(g, members):
     if not clashes:
         return True, None
     first, second = min((group[0], group[1]) for group in clashes)
-    elements = element_order(g)
+    elements = (*range(g.n), *g.edges)
     return False, FailingPair(elements[first], elements[second])
 
 

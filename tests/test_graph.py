@@ -14,7 +14,6 @@ from mixedmetric import (
     TooSmallError,
     VertexOutOfRangeError,
     build_graph,
-    element_order,
     graph_stats,
     random_connected_graph,
 )
@@ -172,13 +171,13 @@ def decode(codes, k):
 
 
 def element_codes(g, sources):
-    """The oracle's codes in element_order: its search run to the last level, then the edges'."""
+    """The oracle's codes, vertices then edges: its search run to the last level, then the edges'."""
     *_, (codes, _) = _element_codes(g, sources)
     return codes + list(_edge_codes(g.edges, codes, len(sources)))
 
 
 def element_rows(g):
-    # The package's one BFS, from every vertex: one row per element, in element_order.
+    # The package's one BFS, from every vertex: one row per element, vertices then edges.
     return decode(element_codes(g, range(g.n)), g.n)
 
 
@@ -199,7 +198,7 @@ class TestDistances:
 
 
 def element_distance(g, element, source):
-    return element_rows(g)[element_order(g).index(element)][source]
+    return element_rows(g)[(*range(g.n), *g.edges).index(element)][source]
 
 
 class TestElementDistance:
@@ -265,20 +264,35 @@ def test_codes_from_some_sources_match_networkx(g, data):
 @settings(max_examples=60)
 def test_each_level_gives_exact_prefixes(g, data):
     # After level L every vertex code, and so every edge code, holds
-    # fields 0..L of its whole code, and the levels end at the last one
-    # that reaches a vertex.  Each level also counts the vertices it reached:
-    # those whose field at that level is nonzero.
+    # fields 0..L of its whole code.  After a cut at level C the vertex
+    # codes hold fields C..L, shifted down by C fields, and the edge codes
+    # their fields C + 1..L above the overlap field C, which is not an edge
+    # field.  Each level also counts the vertices it reached: those whose
+    # field at that level is nonzero.  The levels end at the last one that
+    # reaches a vertex, and one more yield with 0 reached gives the codes
+    # as they stand.
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
     k = len(sources)
     whole = element_codes(g, sources)
-    levels = 0
-    for level, (codes, reached) in enumerate(_element_codes(g, sources)):
-        cut = (1 << (level + 1) * k) - 1
-        assert codes + list(_edge_codes(g.edges, codes, k)) == [code & cut for code in whole]
+    search = _element_codes(g, sources)
+    codes, reached = next(search)
+    level = base = drop = 0
+    while reached:
+        held = (level + 1 - base) * k
+        assert codes == [code >> base * k & (1 << held) - 1 for code in whole[:g.n]]
+        assert [code >> drop for code in _edge_codes(g.edges, codes, k)] == [
+            code >> (base * k + drop) & (1 << held - drop) - 1 for code in whole[g.n:]]
         assert reached == sum(1 for code in whole[:g.n] if code >> level * k & (1 << k) - 1)
-        levels = level
+        cut = data.draw(st.booleans())
+        if cut:
+            base, drop = level, k
+        codes, reached = search.send(cut)
+        level += 1
+    assert codes == [code >> base * k for code in whole[:g.n]]
+    with pytest.raises(StopIteration):
+        next(search)
     top = max(whole)
-    assert top >> levels * k and not top >> (levels + 1) * k
+    assert top >> (level - 1) * k and not top >> level * k
 
 
 @given(connected_graphs)

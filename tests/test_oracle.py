@@ -1,6 +1,7 @@
 """Definition-level verification and exhaustive search."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,6 @@ from mixedmetric import (
     brute_force_mdim,
     build_min_generator,
     decompose,
-    element_order,
     graph_stats,
     is_mixed_generator,
     oracle,
@@ -47,7 +47,7 @@ class TestIsMixedGenerator:
         }
         rows = _element_rows(cycle(4))
         table = {elem: tuple(row[s] for s in (0, 1, 2))
-                 for elem, row in zip(element_order(cycle(4)), rows)}
+                 for elem, row in zip((*range(4), *cycle(4).edges), rows)}
         assert table == expected
         ok, pair = is_mixed_generator(cycle(4), {0, 1, 2})
         assert ok and pair is None
@@ -61,9 +61,6 @@ class TestIsMixedGenerator:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
             is_mixed_generator(path(3), set())
-
-    def test_element_order_lists_vertices_then_edges(self):
-        assert element_order(path(3)) == (0, 1, 2, (0, 1), (1, 2))
 
 
 class TestForcedVertices:
@@ -194,12 +191,14 @@ graphs_up_to_12 = st.one_of(
 )
 
 
-@pytest.mark.parametrize("width", [1, 3, oracle._CHUNK])
+@pytest.mark.parametrize("budget", [8, 64, oracle._WINDOW])
 @given(g=graphs_up_to_12, seed=st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
-def test_verdict_and_pair_match_the_reference(width, g, seed):
-    # Widths 1 and 3 make most sets cross chunk boundaries.  Per graph: a
-    # generator (a cactus's certificate, else the exact search's witness),
+def test_verdict_and_pair_match_the_reference(budget, g, seed):
+    # A window budget of 8 bits holds two fields once |S| >= 3, so most of
+    # these searches cut before they end; 64 bits cuts the larger sets, and
+    # every budget cuts after a check that leaves elements live.  Per graph:
+    # a generator (a cactus's certificate, else the exact search's witness),
     # that set without one member, which mostly fails, and a random set.
     rng = random.Random(seed)
     if decompose(g).cycles is not None:
@@ -210,7 +209,7 @@ def test_verdict_and_pair_match_the_reference(width, g, seed):
     del dropped[rng.randrange(len(dropped))]
     sets = [base, dropped, rng.sample(range(g.n), rng.randint(1, g.n))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_CHUNK", width)
+        mp.setattr(oracle, "_WINDOW", budget)
         got = [is_mixed_generator(g, members) if members else None for members in sets]
     assert got == [reference_is_mixed_generator(g, members) if members else None
                    for members in sets]
@@ -279,33 +278,39 @@ _element_codes = oracle._element_codes
 
 
 def levels_drawn(monkeypatch):
-    """Record, per chunk, how many levels is_mixed_generator draws from the BFS."""
+    """Record, per search, how many levels reaching a vertex is_mixed_generator draws."""
     drawn = []
 
     def counting(g, sources):
         drawn.append(0)
-        for codes in _element_codes(g, sources):
-            drawn[-1] += 1
-            yield codes
+        search = _element_codes(g, sources)
+        codes, reached = next(search)
+        while True:
+            drawn[-1] += reached > 0
+            cut = yield codes, reached
+            try:
+                codes, reached = search.send(cut)
+            except StopIteration:
+                return
 
     monkeypatch.setattr(oracle, "_element_codes", counting)
     return drawn
 
 
 def all_levels(g, sources):
-    return sum(1 for _ in _element_codes(g, sources))
+    return sum(1 for _, reached in _element_codes(g, sources) if reached)
 
 
-@pytest.mark.parametrize("width", [1, 3, oracle._CHUNK])
+@pytest.mark.parametrize("budget", [8, 64, oracle._WINDOW])
 @pytest.mark.parametrize("cycles, seed", [(20, 1), (30, 2), (45, 3)])
-def test_early_stop_matches_the_reference_on_cacti(monkeypatch, width, cycles, seed):
+def test_early_stop_matches_the_reference_on_cacti(monkeypatch, budget, cycles, seed):
     # n in the 100s, where a certificate's codes tell every element apart
     # levels before the BFS ends.  Dropping a member makes the set fail,
     # so that search runs every level and names the reference's pair.
     g = random_cactus(CactusSpec(cycles, (3, 8), cycles, seed))
     assert 100 < g.n < 300
     cert = build_min_generator(g).vertices
-    monkeypatch.setattr(oracle, "_CHUNK", width)
+    monkeypatch.setattr(oracle, "_WINDOW", budget)
     for members in [cert] + [cert[:i] + cert[i + 1:] for i in range(0, len(cert), 11)]:
         assert is_mixed_generator(g, members) == reference_is_mixed_generator(g, members)
 
@@ -341,12 +346,30 @@ def test_path_leaves_separate_only_at_the_search_end(monkeypatch, n):
     assert reference_is_mixed_generator(g, {0, n - 1}) == (True, None)
 
 
+def test_a_long_path_verifies_in_bounded_memory():
+    # The leaves tell the elements apart only at the last of 20000 levels.
+    # The codes hold the fields since the last check only, so memory does
+    # not grow with the levels: codes holding every field peaked at 157 MB.
+    g = path(20000)
+    tracemalloc.start()
+    try:
+        assert is_mixed_generator(g, {0, 19999}) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_early_check_keys_every_element_with_earlier_labels(monkeypatch):
-    # On the path 0-1-2 against {1, 2}, vertex 1 and edge (0, 1) share the
-    # profile (0, 1), and every other pair is told apart by level 1.  With
-    # one member per chunk, an early check that packed the first chunk's
-    # labels into the edges' keys but not the vertices' would pass the set.
-    monkeypatch.setattr(oracle, "_CHUNK", 1)
-    expected = reference_is_mixed_generator(path(3), {1, 2})
+    # On C4 against {1, 2}, vertex 1 and edge (0, 1) share the profile
+    # (0, 1), vertex 2 and edge (2, 3) the profile (1, 0), and every other
+    # element is alone by level 1.  A 4-bit window holds two fields, so
+    # the search checks at level 1 and cuts its codes; level 2 tells none
+    # of the four apart.  Only the labels carried across the cut, packed
+    # into the vertices' keys and the edges' alike, keep the two pairs in
+    # two classes.  The overlap field left by the cut is an edge field for
+    # no edge: keying it would tell vertex 1 from edge (0, 1) and pass the set.
+    monkeypatch.setattr(oracle, "_WINDOW", 4)
+    expected = reference_is_mixed_generator(cycle(4), {1, 2})
     assert expected == (False, (1, (0, 1)))
-    assert is_mixed_generator(path(3), {1, 2}) == expected
+    assert is_mixed_generator(cycle(4), {1, 2}) == expected

@@ -41,9 +41,8 @@ def test_public_names_are_pinned():
         "SearchResult", "SelfLoopError", "TooLargeError", "TooSmallError",
         "VertexOutOfRangeError", "augment_for_triple", "biconnected_blocks", "bound_report",
         "brute_force_mdim", "build_graph", "build_min_generator", "classify", "decompose",
-        "element_order", "evaluate_conjecture", "graph_stats", "has_geodesic_triple",
-        "is_mixed_generator", "mdim_exact", "random_cactus", "random_connected_graph",
-        "run_campaign",
+        "evaluate_conjecture", "graph_stats", "has_geodesic_triple", "is_mixed_generator",
+        "mdim_exact", "random_cactus", "random_connected_graph", "run_campaign",
     ]
 
 
