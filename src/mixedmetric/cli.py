@@ -1,7 +1,9 @@
 """Command-line surface: classify, dim, generator, verify, oracle, bounds, conjecture.
 
 Graphs come from edge-list text files: optional '#' comment lines, a
-header line 'n m', then m lines 'u v' with 0-indexed endpoints.  Exit
+header line 'n m', then m lines 'u v' with 0-indexed endpoints.  A
+file's leading plain lines, two digit runs and one space each, are read in
+blocks and converted in bulk; a line reader checks the rest in full.  Exit
 codes: 0 success, 1 usage or parse error, 2 structural precondition
 failure (not a cactus, too large, disconnected, ...), 3 internal
 invariant breach (formula disagreeing with the oracle; never expected).
@@ -13,9 +15,12 @@ loads only those and a malformed file loads none of them.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import re
 import sys
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -31,6 +36,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STRUCTURAL = 2
 EXIT_INTERNAL = 3
+
+# Characters parse_graph_file reads from a file at a time.
+_BLOCK = 16384
+# Whole plain lines: two runs of ASCII digits, one space, a newline.
+_PLAIN_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 
 class _UsageError(Exception):
@@ -57,35 +67,37 @@ def _decimal(text: str) -> int:
 
 
 def parse_graph_file(path: str) -> Graph:
-    """Read the edge-list format strictly; errors carry line numbers."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    lineno = 0
+    """Read the edge-list format strictly; errors carry line numbers.
+
+    The file's leading plain lines are read in blocks (_plain_prefix).
+    The line reader then checks every line after them in full: comments,
+    blank lines, other spellings and separators, a missing final newline,
+    and each error with its line number.
+    """
     # Undecodable bytes become lone surrogates, so the line they sit on is known.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            # The common line first: on ASCII text isdigit() accepts only
-            # 0-9, so int() reads these fields as _decimal would.
-            if (len(fields) == 2 and raw.isascii()
-                    and fields[0].isdigit() and fields[1].isdigit()):
-                a, b = int(fields[0]), int(fields[1])
-            else:
-                if not raw.isascii():
-                    try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ParseError(lineno, "not UTF-8 text") from None
-                # split() and strip() cut at the same whitespace, so the first
-                # field starts with '#' exactly when the stripped line does.
-                if not fields or fields[0].startswith("#"):
-                    continue
-                if len(fields) != 2:
-                    raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+        pairs, rest = _plain_prefix(fh)
+        header: tuple[int, int] | None = pairs[0] if pairs else None
+        edges = pairs[1:]
+        lineno = len(pairs)
+        # StringIO ends lines at '\n' only, as the file object does.
+        for lineno, raw in enumerate(chain(io.StringIO(rest), fh), start=lineno + 1):
+            if not raw.isascii():
                 try:
-                    a, b = _decimal(fields[0]), _decimal(fields[1])
-                except ValueError:
-                    raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(lineno, "not UTF-8 text") from None
+            fields = raw.split()
+            # split() and strip() cut at the same whitespace, so the first
+            # field starts with '#' exactly when the stripped line does.
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 2:
+                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+            try:
+                a, b = _decimal(fields[0]), _decimal(fields[1])
+            except ValueError:
+                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
             if header is None:
                 header = (a, b)
             elif len(edges) < header[1]:
@@ -101,6 +113,43 @@ def parse_graph_file(path: str) -> Graph:
         # Checked before build_graph allocates n adjacency lists.
         raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
     return build_graph(n, edges)
+
+
+def _plain_prefix(fh) -> tuple[list[tuple[int, int]], str]:
+    """The pairs of the file's leading plain lines, and the text after them.
+
+    A plain line is two runs of ASCII digits, one space between them and a
+    newline after, which int() reads as _decimal would.  The file is read
+    _BLOCK characters at a time, and a block's partial last line is carried
+    over to the next.  A block's whole lines are taken in bulk when all of
+    them are plain and they hold no edge past the header's count.  At the
+    first block that fails that, the text returned holds its lines, up to
+    the line end after them; otherwise it is the file's unterminated last
+    line, if any.  Each pair taken is one line, so the pairs number the
+    lines read, and the line reader goes on from the text returned.
+    """
+    pairs: list[tuple[int, int]] = []
+    carry = ""
+    while block := fh.read(_BLOCK):
+        cut = block.rfind("\n") + 1
+        if not cut:
+            carry += block
+            continue
+        lines = carry + block[:cut]
+        carry = block[cut:]
+        if _PLAIN_LINES.fullmatch(lines):
+            numbers = map(int, lines.split())
+            taken = len(pairs)
+            try:
+                pairs += zip(numbers, numbers)
+            except ValueError:
+                pass  # a run past int()'s digit limit: the line reader names its line
+            else:
+                if len(pairs) <= pairs[0][1] + 1:
+                    continue
+            del pairs[taken:]
+        return pairs, lines + carry + fh.readline()
+    return pairs, carry
 
 
 def _emit(payload: dict) -> None:

@@ -1,16 +1,17 @@
 """Immutable simple graphs and their scalar invariants, in pure Python.
 
-Vertices are the integers 0..n-1 and edges are stored canonically as
-(min, max) pairs.  Every analysis entry point in the package assumes the
-graph is connected, so connectedness is enforced at construction time,
-by the package's one reachability walk.  Distances live in the oracle
-(oracle._element_codes).
+Vertices are the integers 0..n-1.  A Graph stores n, the edge count m
+and the sorted adjacency; its edges, canonical (min, max) pairs in sorted
+order, are derived from the adjacency when first read, since the path
+from a file to the structural formula never reads them.  Every analysis
+entry point in the package assumes the graph is connected, so
+connectedness is enforced at construction time, by the package's one
+reachability walk.  Distances live in the oracle (oracle._element_codes).
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import islice
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -31,23 +32,26 @@ class Graph:
     """Connected simple undirected graph; build instances via build_graph.
 
     Immutable: assigning or deleting an attribute raises AttributeError.
-    Equality, hashing and pickling read n, edges and adjacency only, never
-    the block structure structure.decompose keeps in _decomposition.
+    Equality, hashing and pickling read n and adjacency only, never the
+    two memos filled on first read: _edges, the edges derived from the
+    adjacency when the constructor is given None for them, and
+    _decomposition, the block structure structure.decompose keeps.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_decomposition", "__weakref__")
+    __slots__ = ("n", "m", "adjacency", "_edges", "_decomposition", "__weakref__")
     __match_args__ = ("n", "edges", "adjacency")
 
     n: int
-    edges: tuple[Edge, ...]
+    m: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, edges: tuple[Edge, ...],
+    def __init__(self, n: int, edges: tuple[Edge, ...] | None,
                  adjacency: tuple[tuple[int, ...], ...]) -> None:
         set_field = object.__setattr__
         set_field(self, "n", n)
-        set_field(self, "edges", edges)
+        set_field(self, "m", sum(map(len, adjacency)) // 2)
         set_field(self, "adjacency", adjacency)
+        set_field(self, "_edges", edges)
         set_field(self, "_decomposition", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -56,22 +60,37 @@ class Graph:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The canonical (min, max) edges in sorted order, derived on first read.
+
+        The endpoints are the adjacency's own int objects, so the edges add
+        no int past those.  Two threads racing on a fresh graph both derive
+        an equal tuple, and either one may stay.
+        """
+        edges = self._edges
+        if edges is None:
+            adjacency = self.adjacency
+            # One object per vertex id, as the adjacency holds it: a
+            # connected graph lists every vertex as someone's neighbour.
+            ids = sorted(set(chain.from_iterable(adjacency)))
+            edges = tuple((u, v) for u, a in zip(ids, adjacency) for v in a if u < v)
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.edges, self.adjacency) == (other.n, other.edges, other.adjacency)
+        return self.n == other.n and self.adjacency == other.adjacency
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.adjacency))
+        return hash((self.n, self.adjacency))
 
     def __reduce__(self):
         # The default protocol restores the slots through setattr, which a
-        # Graph refuses.  A copy finds its own block structure on demand.
-        return (Graph, (self.n, self.edges, self.adjacency))
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+        # Graph refuses.  A copy derives its own edges and block structure
+        # on demand.
+        return (Graph, (self.n, None, self.adjacency))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -93,7 +112,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
 
     Raises TooSmallError, VertexOutOfRangeError, SelfLoopError,
     DuplicateEdgeError, or DisconnectedError on bad input.  A duplicate
-    edge is found as a repeated neighbour in the sorted adjacency.  Any
+    edge is found as a neighbour listed twice in the adjacency.  Any
     error names the first bad edge in input order, as a scan that checks
     each edge in turn would, and a disconnected graph is reported only
     when every edge is valid.
@@ -104,9 +123,9 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
         # A one-shot iterable: the error scan below may read it again.
         edge_list = list(edge_list)
     neighbors: list[list[int] | tuple[int, ...]] = [[] for _ in range(n)]
-    # One int object per vertex id, shared by the adjacency and the edges:
-    # ids past 256 are not cached by Python, so each input occurrence and
-    # each enumerate() would otherwise be an int of its own.
+    # One int object per vertex id, held by the adjacency and reused by the
+    # edges derived from it: ids past 256 are not cached by Python, so each
+    # input occurrence would otherwise be an int of its own.
     ids = list(range(n))
     valid = False
     try:
@@ -121,10 +140,8 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
                 a.sort()
                 neighbors[i] = tuple(a)
             adjacency = tuple(neighbors)
-            # Read off the sorted adjacency, the edges come out in sorted
-            # order, and an edge listed twice comes out twice in a row.
-            edges = tuple((u, v) for u, a in zip(ids, adjacency) for v in a if u < v)
-            valid = not any(map(operator.eq, edges, islice(edges, 1, None)))
+            # An edge listed twice puts each endpoint twice in the other's list.
+            valid = sum(map(len, map(set, adjacency))) == 2 * len(edge_list)
     except (TypeError, ValueError):
         pass  # a malformed pair or id; the scan below names the first
     if not valid:
@@ -142,7 +159,8 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
                 stack.append(v)
     if not all(seen):
         raise DisconnectedError(f"vertex {seen.index(False)} not reachable from vertex 0")
-    return Graph(n=n, edges=edges, adjacency=adjacency)
+    # The edges are derived from the adjacency when first read.
+    return Graph(n=n, edges=None, adjacency=adjacency)
 
 
 def _raise_first_bad_edge(n: int, edge_list: Iterable[Sequence[int]], ids: list[int]) -> None:

@@ -121,8 +121,10 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
         fields += 1
         work += reached
         # A level that reaches no vertex ends the search.  When the level
-        # before it was checked, this check keys no new field and leaves
-        # the classes as they are.
+        # before it was checked, the codes hold no new field, and the
+        # classes that check left stand.
+        if not reached and fields == 1 and labels:
+            break
         cut = not reached or fields >= window or work >= _PACE * (len(vertices) + len(edges))
         if cut:
             vertices, edges, labels = _refine(_keys(codes, k, vertices, edges, drop),

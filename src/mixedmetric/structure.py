@@ -2,11 +2,11 @@
 
 A cactus is a connected graph whose blocks are single edges or cycles.
 biconnected_blocks yields each block as the (tail, head) edges the depth-
-first search pushed, in push order; a cycle block's tails, in that order,
-are its ring.  decompose reads the blocks once per graph and keeps what
-every consumer reads: the structural class, the leaf statistics and the
-cycles, each cycle oriented into a deterministic ring with its root
-positions marked.
+first search pushed, in push order, and a leaf's edge as soon as the
+search meets it; a cycle block's tails, in that order, are its ring.
+decompose reads the blocks once per graph and keeps what every consumer
+reads: the structural class, the leaf statistics and the cycles, each
+cycle oriented into a deterministic ring with its root positions marked.
 The module also decides geodesic-triple questions on a ring.  Three ring
 positions form a geodesic triple exactly when the three arcs they cut have
 length at most floor(L/2) each, which is equivalent to their pairwise ring
@@ -20,6 +20,8 @@ not: the delta term adds at most one vertex per cycle.
 from __future__ import annotations
 
 import enum
+from itertools import compress, count
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, GraphStats, graph_stats
@@ -63,7 +65,11 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
 
     A block is the list of its edges in the order the depth-first search
     from vertex 0 pushed them.  Each edge is a (tail, head) pair: a tree
-    edge points away from the root and a back edge to its ancestor.
+    edge points away from the root and a back edge to its ancestor.  A
+    leaf other than the root is met by one tree edge only, which is a
+    block by itself, so it is yielded there, and the leaf gets no frame.
+    A block found on a vertex's return cuts the edge stack at the index
+    its frame holds.
 
     A block of two or more edges has at least as many edges as vertices,
     and as many only when it is a cycle.  Distinct tails allow no more
@@ -78,21 +84,27 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
     edge_stack: list[Edge] = []
 
     # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
-    # Each frame of the DFS path holds a vertex, its parent (-1 at the root)
-    # and the iterator over its neighbours, resumed where the scan left off.
+    # Each frame of the DFS path holds a vertex, its parent (-1 at the root),
+    # the iterator over its neighbours, resumed where the scan left off, and
+    # the edge stack's index of the tree edge into it.
     disc[0] = low[0] = 0
     timer = 1
-    path = [(0, -1, iter(adjacency[0]))]
+    path = [(0, -1, iter(adjacency[0]), 0)]
     while path:
-        v, u, neighbors = path[-1]
+        v, u, neighbors, k = path[-1]
         # Scan v's neighbours until a tree edge leads down; the loop makes
         # no call per neighbour, and the for-else runs once v is finished.
         for w in neighbors:
             if disc[w] < 0:
-                edge_stack.append((v, w))
+                if len(adjacency[w]) == 1:
+                    # A leaf: its edge is a block, and no other vertex
+                    # meets it, so it needs no frame and no disc.
+                    yield [(v, w)]
+                    continue
                 disc[w] = low[w] = timer
                 timer += 1
-                path.append((w, v, iter(adjacency[w])))
+                path.append((w, v, iter(adjacency[w]), len(edge_stack)))
+                edge_stack.append((v, w))
                 break
             if disc[w] < disc[v] and w != u:
                 # A back edge.  At the root (disc 0) the first test fails.
@@ -106,9 +118,6 @@ def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
                     # The block is the tree edge (u, v) and every edge pushed after it.
-                    k = len(edge_stack) - 1
-                    while edge_stack[k] != (u, v):
-                        k -= 1
                     block = edge_stack[k:]
                     del edge_stack[k:]
                     yield block
@@ -150,7 +159,7 @@ def _decompose(g: Graph) -> Decomposition:
     for block in biconnected_blocks(g):
         if len(block) >= 2:
             fat += 1
-            ring = [tail for tail, _ in block]
+            ring = list(map(itemgetter(0), block))
             if len(set(ring)) == len(ring):
                 # A cycle: start at its lowest vertex, then turn toward the
                 # smaller of that vertex's ring neighbours.
@@ -170,10 +179,10 @@ def _decompose(g: Graph) -> Decomposition:
         tag = GraphClassTag.UNICYCLIC if stats.l1 else GraphClassTag.CYCLE
     else:
         tag = GraphClassTag.CACTUS
-    adjacency = g.adjacency
+    is_root = [len(a) >= 3 for a in g.adjacency]
     rings.sort()
     cycles = tuple(
-        CycleInfo(ring, frozenset([i for i, v in enumerate(ring) if len(adjacency[v]) >= 3]))
+        CycleInfo(ring, frozenset(compress(count(), map(is_root.__getitem__, ring))))
         for ring in rings
     )
     return Decomposition(GraphClass(tag, c), stats, cycles)

@@ -10,7 +10,7 @@ draw lists every non-edge and samples that list, where the package's
 random_connected_graph samples ranks and maps them to pairs.  The
 triple completion tries every combination of free ring positions, and the
 parser checks every line in full, where the package builds the completion
-from the gaps and reads a plain line of two digit runs directly.
+from the gaps and reads a file's leading plain lines in blocks.
 """
 
 import random

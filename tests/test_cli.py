@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from mixedmetric import (
     ParseError,
     SelfLoopError,
     build_min_generator,
+    cli,
     random_cactus,
 )
 from mixedmetric.cli import parse_graph_file, run
@@ -73,6 +75,13 @@ class TestParseGraphFile:
             message = f"line 2: expected two integers, got '0 {spelling}'"
             with pytest.raises(ParseError, match=re.escape(message)):
                 parse_graph_file(graph_file(text))
+
+    def test_a_number_past_the_digit_limit_is_refused_as_the_reference_refuses_it(self, graph_file):
+        # int() refuses a run of more than 4300 digits by default, with a
+        # ValueError that the reference reads as a line holding no integer.
+        path = graph_file("3 2\n0 1\n1 " + "1" * 5000 + "\n")
+        assert parse_outcome(parse_graph_file, path) == \
+            parse_outcome(reference_parse_graph_file, path)
 
     def test_empty_file(self, graph_file):
         with pytest.raises(ParseError, match="header"):
@@ -141,15 +150,38 @@ def parse_outcome(parse, path):
     return g.n, g.edges, g.adjacency
 
 
-@given(edge_list_files())
-@settings(max_examples=400, deadline=None)
-def test_parser_matches_the_reference(tmp_path_factory, data):
-    # The fast branch for plain digit lines gives the same graph, or the
-    # same error class and message, as checking every line in full.
+def assert_parses_as_the_reference(tmp_path_factory, data, block):
+    # Reading plain lines in blocks of any size gives the same graph, or
+    # the same error class and message, as checking every line in full.
     target = tmp_path_factory.getbasetemp() / "fuzzed-graph.txt"
     target.write_bytes(data)
-    assert parse_outcome(parse_graph_file, str(target)) == \
-        parse_outcome(reference_parse_graph_file, str(target))
+    with mock.patch.object(cli, "_BLOCK", block):
+        assert parse_outcome(parse_graph_file, str(target)) == \
+            parse_outcome(reference_parse_graph_file, str(target))
+
+
+@given(edge_list_files(), st.sampled_from([cli._BLOCK]) | st.integers(1, 40))
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_the_reference(tmp_path_factory, data, block):
+    assert_parses_as_the_reference(tmp_path_factory, data, block)
+
+
+# What a broken line's character may become: a comment mark, a blank or a
+# second line, other separators and spellings, junk, or nothing.
+BREAKS = [b"#", b"\n", b"\n\n", b"\t", b" ", b"  ", b"", b"-", b"+", b"x", b"0", "\xa0".encode(),
+          b"\r", b"\r\n", b"\xff"]
+
+
+@given(st.integers(3200, 3600), st.integers(0, 10**6), st.sampled_from(BREAKS))
+@settings(max_examples=60, deadline=None)
+def test_parser_matches_the_reference_past_the_first_block(tmp_path_factory, n, position, text):
+    # A plain path file longer than one block, with one character, at a
+    # random position, replaced.
+    data = f"{n} {n - 1}\n" + "".join(f"{u} {u + 1}\n" for u in range(n - 1))
+    assert len(data) > cli._BLOCK
+    at = position % len(data)
+    broken = data[:at].encode() + text + data[at + 1:].encode()
+    assert_parses_as_the_reference(tmp_path_factory, broken, cli._BLOCK)
 
 
 class TestVerbs:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedmetric import (
+    CactusSpec,
     DisconnectedError,
     DuplicateEdgeError,
     Graph,
@@ -15,6 +16,7 @@ from mixedmetric import (
     VertexOutOfRangeError,
     build_graph,
     graph_stats,
+    random_cactus,
     random_connected_graph,
 )
 from mixedmetric.oracle import _edge_codes, _element_codes
@@ -107,7 +109,7 @@ class TestBuildGraph:
 
 
 class TestGraphRecord:
-    """A Graph is an immutable value of n, edges and adjacency; its memo is not part of it."""
+    """A Graph is an immutable value of n and adjacency; its two memos are not part of it."""
 
     def test_decomposing_one_of_two_equal_graphs_keeps_them_equal(self):
         g, h = tadpole(), tadpole()
@@ -130,7 +132,8 @@ class TestGraphRecord:
             case _:
                 pytest.fail("no match")
 
-    @pytest.mark.parametrize("name", ["n", "edges", "adjacency", "_decomposition", "other"])
+    @pytest.mark.parametrize("name", ["n", "m", "edges", "adjacency", "_edges", "_decomposition",
+                                      "other"])
     def test_attributes_refuse_assignment_and_deletion(self, name):
         g = tadpole()
         with pytest.raises(AttributeError):
@@ -240,6 +243,31 @@ connected_graphs = st.builds(
         n, min(n - 1 + extra, n * (n - 1) // 2), seed),
     st.integers(2, 9), st.integers(0, 12), st.integers(0, 10**6),
 )
+cacti = st.builds(
+    lambda cycles, pendants, seed: random_cactus(CactusSpec(cycles, (3, 6), pendants, seed)),
+    st.integers(1, 4), st.integers(0, 4), st.integers(0, 10**6),
+)
+
+
+def unread_copy(g):
+    """A graph equal to g, built afresh, whose edges have not been read."""
+    h = build_graph(g.n, g.edges)
+    assert h._edges is None
+    return h
+
+
+@given(connected_graphs | cacti)
+@settings(max_examples=60)
+def test_equality_hashing_and_copies_read_no_edges(g):
+    read = unread_copy(g)
+    assert read.edges == g.edges
+    h = unread_copy(g)
+    copies = [pickle.loads(pickle.dumps(h, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(h), copy.deepcopy(h)]
+    for other in (h, *copies):
+        assert other == read and read == other and hash(other) == hash(read)
+        assert other._edges is None
+    assert all(other.edges == read.edges for other in copies)
 
 
 @given(connected_graphs)
@@ -338,9 +366,13 @@ def test_trees_have_n_minus_one_edges(n, seed):
     assert graph_stats(g).cyclomatic == 0 and g.m == g.n - 1
 
 
-@given(connected_graphs, st.randoms(use_true_random=False))
+@given(connected_graphs | cacti, st.randoms(use_true_random=False))
 @settings(max_examples=60)
 def test_edges_are_the_sorted_canonical_input(g, rnd):
     pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
     rnd.shuffle(pairs)
-    assert build_graph(g.n, pairs).edges == tuple(sorted((min(p), max(p)) for p in pairs))
+    h = build_graph(g.n, pairs)
+    # m is known before the edges are first read, and they are kept after it.
+    assert h._edges is None and h.m == len(pairs)
+    assert h.edges == tuple(sorted((min(p), max(p)) for p in pairs))
+    assert h._edges is h.edges

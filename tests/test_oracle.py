@@ -373,3 +373,22 @@ def test_early_check_keys_every_element_with_earlier_labels(monkeypatch):
     expected = reference_is_mixed_generator(cycle(4), {1, 2})
     assert expected == (False, (1, (0, 1)))
     assert is_mixed_generator(cycle(4), {1, 2}) == expected
+
+
+def test_a_check_at_the_last_level_ends_the_search(monkeypatch):
+    # The 12-vertex path against {0, 10} fails on vertex 10 ~ edge (10, 11).
+    # At the default window its one check comes at the search's end.  An
+    # 8-bit window holds four fields at |S| = 2, so the search checks at
+    # levels 3, 7 and 11, the last that reaches a vertex; the spent level
+    # after it holds no new field, so no fourth check keys the two live
+    # elements again.
+    calls = []
+    real = oracle._keys
+    monkeypatch.setattr(oracle, "_keys", lambda *args: calls.append(args[2:4]) or real(*args))
+    expected = (False, (10, (10, 11)))
+    assert is_mixed_generator(path(12), {0, 10}) == expected
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(oracle, "_WINDOW", 8)
+    assert is_mixed_generator(path(12), {0, 10}) == expected
+    assert [len(vertices) + len(edges) for vertices, edges in calls] == [23, 23, 10]

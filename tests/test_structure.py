@@ -182,6 +182,18 @@ def test_blocks_match_networkx(n, extra, seed):
         check_block_shape(block)
 
 
+@pytest.mark.parametrize("n, edges, blocks", [
+    (2, [(0, 1)], [[(0, 1)]]),
+    # Leaf 0 on the triangle 1 2 3, which carries leaf 4 at vertex 3.
+    (5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)], [[(3, 4)], [(1, 2), (2, 3), (3, 1)], [(0, 1)]]),
+], ids=["edge", "tadpole"])
+def test_blocks_when_the_root_is_a_leaf(n, edges, blocks):
+    # The search starts at vertex 0, a leaf here, so its one tree edge
+    # closes the last block.  Every other leaf's edge is a block of its
+    # own, yielded as the search meets it.
+    assert list(biconnected_blocks(build_graph(n, edges))) == blocks
+
+
 class TestExtractCycles:
     """The rings and root positions decompose reads off the block search."""
 
