@@ -30,12 +30,14 @@ generator pays levels only up to there; a failing set pays every level.
 The exact dimension is a minimum hitting set (the set-cover view of
 Khuller, Raghavachari and Rosenfeld, "Landmarks in graphs", 1996): each
 pair of elements is resolved by the vertices where their distance rows
-differ, stored as an int bitmask, and a generator is a set that hits every
-mask.  Masks the leaves hit, repeats and supersets are dropped.  For each
-size upward, a depth-first search picks the non-leaf members in id order
-and cuts a branch when some unhit mask has no vertex left in the branch's
-suffix or a greedy packing of disjoint unhit masks needs more members than
-remain.  The witness is therefore the leaves plus the lexicographically
+differ, an int bitmask, and a generator hits every mask.  The masks come
+lazily, as in an implicit hitting set (Chandrasekaran, Karp, Moreno-Centeno
+and Vempala, SODA 2011): from the pairs at one vertex, and from the pairs
+that each set hitting every known mask still ties.  For each size upward,
+a depth-first search picks the non-leaf members in id order and cuts a
+branch when an unhit mask has no vertex left in its suffix or a greedy
+packing of disjoint unhit masks needs more members than remain.  Every mask
+is a real pair's, so the witness is the leaves plus the lexicographically
 first non-leaf combination of minimum size, exactly what enumerating
 subsets by size would return.
 """
@@ -43,8 +45,8 @@ subsets by size would return.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, count
-from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
+from itertools import combinations, compress, count
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptySetError, InvariantError, TooLargeError, VertexOutOfRangeError
 from .graph import Edge, Element, Graph, graph_stats
@@ -83,20 +85,12 @@ def is_mixed_generator(g: Graph, members: Iterable[int]) -> tuple[bool, FailingP
     On failure also returns the first failing pair, ordering elements as
     vertices before edges and lexicographically within each kind.
 
-    Searches breadth-first from all the members at once and refines a
-    partition of the elements by their codes: two elements end in one
-    class exactly when their whole profiles agree.  Only the live
-    elements, those still sharing their class, are keyed, and each check
-    drops the ones left alone, which no later code can join again.  The
-    search checks whenever the vertices it reached since the last check
-    number _PACE times the live elements, so those checks cost at most
-    1 / _PACE of its work, whenever the codes hold max(_WINDOW // |S|, 2)
-    fields since the last check, and once it ends; it stops once no
-    element is live.  Each check cuts the codes to their newest field.
-    Time O(levels (n + m)) operations on ints of up to max(_WINDOW, 2 |S|)
-    bits, where a generator counts levels only up to the check that
-    empties the live set and a failing set counts every level; memory
-    O(max(_WINDOW, 2 |S|) (n + m)) bits.
+    Refines a partition of the elements by the codes of one search from all
+    the members, keying only the live elements, as the module docstring
+    describes.  Time O(levels (n + m)) operations on ints of up to
+    max(_WINDOW, 2 |S|) bits, where a generator counts levels only up to the
+    check that empties the live set and a failing set counts every level;
+    memory O(max(_WINDOW, 2 |S|) (n + m)) bits.
     """
     order = tuple(sorted(set(members)))
     if not order:
@@ -248,99 +242,99 @@ def _edge_codes(edges: Iterable[Edge], codes: list[int], k: int) -> Iterator[int
 def brute_force_mdim(g: Graph, max_n: int = 16) -> SearchResult:
     """Exact mixed metric dimension by a pruned minimum hitting-set search.
 
-    Each pair of elements is told apart by exactly the vertices where their
-    distance rows differ, so a generator is a vertex set that hits every
-    such constraint.  The leaves are forced; for each size k upward from
-    max(leaves, 1), a depth-first search picks the other k - leaves members
-    from the non-leaf vertices in id order, so its first hit is the
-    lexicographically first optimum that subset enumeration by size would
-    return.  No pick passes the last vertex of an unhit constraint, and a
-    branch is cut when a greedy packing of disjoint unhit constraints needs
-    more members than the branch has left; neither rule drops a generator,
-    so the search never tests more sets than the enumeration.  Raises
-    TooLargeError for n > max_n, or once the searches of all sizes together
-    visit more than _MAX_NODES nodes.
+    The leaves are forced; for each size k upward from max(leaves, 1), a
+    depth-first search picks the other k - leaves members in id order, and
+    its masks grow by the pairs of each refuted set, in one list shared by
+    all sizes.  Raises TooLargeError for n > max_n, or once the searches of
+    all sizes together visit more than _MAX_NODES nodes.
     """
     if g.n > max_n:
         raise TooLargeError(f"n = {g.n} exceeds the search cap {max_n}")
+    n = g.n
+    full = (1 << n) - 1
     # A set missing a leaf cannot tell the leaf's neighbour from its pendant edge.
     forced = graph_stats(g).leaf_set
-    *_, (codes, _) = _element_codes(g, range(g.n))
-    codes += _edge_codes(g.edges, codes, g.n)
-    constraints = _constraints(codes, g.n, forced)
-    candidates = [v for v in range(g.n) if v not in forced]
+    leaves = sum(1 << v for v in forced)
+    *_, (codes, _) = _element_codes(g, range(n))
+    codes += _edge_codes(g.edges, codes, n)
+    # Bit v of each n-bit field stands for vertex v, set in one field of a
+    # code only: the vertices at equal distance from a pair are the sum of the
+    # fields of a & b, (a & b) mod (2^n - 1), never all n bits.  A code's bits
+    # for a vertex set S are code & S * repunit; n fields hold every distance.
+    repunit = ((1 << n * n) - 1) // full
+
+    def refute(taken: int) -> list[int]:
+        """Masks of the pairs the leaves and `taken` tie, each against its class's first member."""
+        rep = (taken | leaves) * repunit
+        first: dict[int, int] = {}
+        return [full ^ (code & codes[j]) % full for i, code in enumerate(codes)
+                if (j := first.setdefault(code & rep, i)) != i]
+
+    # The seeds: the pairs among a vertex's code and its edges' codes, whose
+    # masks no forced leaf hits.
+    around = [[code] for code in codes[:n]]
+    for (u, v), code in zip(g.edges, codes[n:]):
+        around[u].append(code)
+        around[v].append(code)
+    seeds = {mask for near in around for a, b in combinations(near, 2)
+             if not (mask := full ^ (a & b) % full) & leaves}
+    # A superset is never the smaller int, so sorted up, each mask follows its
+    # subsets; it is hit whenever one of them is, so only minimal masks are kept.
+    masks: list[int] = []
+    for mask in sorted(seeds):
+        for other in masks:
+            if mask & other == other:
+                break
+        else:
+            masks.append(mask)
+    masks.sort(key=int.bit_count)
+    candidates = [v for v in range(n) if v not in forced]
     nodes = count(1)
-    for k in range(max(len(forced), 1), g.n + 1):
-        extra = _first_hitting_set(candidates, constraints, k - len(forced), nodes)
+    for k in range(max(len(forced), 1), n + 1):
+        extra = _first_hitting_set(candidates, masks, k - len(forced), nodes, refute)
         if extra is not None:
+            # A set of any other size would mean some smaller set hit every mask unrefuted.
+            if len(extra) != k - len(forced):
+                raise InvariantError(f"the size-{k} search accepted {len(extra)} non-leaf members")
             return SearchResult(value=k, witness=tuple(sorted(forced.union(extra))))
     raise InvariantError("unreachable: the full vertex set is always a generator")
 
 
-# Search nodes one brute_force_mdim call may visit.  A node costs about
-# 20-30 us on a 2-core x86 VM, so the budget stops a search within about
-# half a minute.  Density-0.4 graphs need at most about 600 nodes up to
-# n = 16 (the default cap), 1.1e3 at n = 20 and 5.8e4 at n = 28, so no
-# graph the campaign draws comes near it; it stops the searches of hours
-# that dense graphs past n = 30 start under a raised --max-n.
+# Search nodes one brute_force_mdim call may visit: about 20 s at the
+# 20 us a node costs past n = 30 on a 2-core x86 VM.  Density-0.4 graphs
+# need at most about 700 nodes up to n = 16 (the default cap), 1.6e3 at
+# n = 20 and 4.9e4 at n = 28; the budget stops the searches of hours that
+# dense graphs past n = 30 start under a raised --max-n.
 _MAX_NODES = 1_000_000
 
 
-def _constraints(codes: list[int], n: int, forced: Iterable[int]) -> list[int]:
-    """Minimal bitmasks of the vertices resolving each pair the forced leaves miss.
+def _first_hitting_set(candidates: Sequence[int], masks: list[int], need: int, nodes: Iterator[int],
+                       refute: Callable[[int], list[int]]) -> tuple[int, ...] | None:
+    """Lexicographically first `need` candidates that `refute` accepts, or None.
 
-    The codes come from a search from every vertex in id order, so bit v of
-    each n-bit field stands for vertex v.  Each vertex's bit is set in one
-    field of a code only, so the fields of a & b share no bit, and their OR,
-    the vertices that leave the pair at equal distance, is their sum,
-    (a & b) mod (2^n - 1).  That is never all n bits, since two distinct
-    elements differ at a vertex of one of them (the vertex itself or an
-    edge's endpoint), so the mask of the vertices that tell the pair apart
-    is its complement.  Pairs a forced vertex resolves are dropped, and so
-    are repeats and supersets of other masks; the rest come smallest first.
+    The masks hold candidate bits only.  Every unhit mask must keep a vertex
+    in the picks' suffix, so no pick passes the lowest top bit among them.
+    At a node with no unhit mask, refute(taken), taken the bitmask of the
+    picks, gives masks the picks miss, or none to accept them; they join
+    `masks`, and each frame on the path takes them up when its child
+    returns.  Each node draws its number from `nodes`; past _MAX_NODES the
+    search raises TooLargeError.
     """
-    full = (1 << n) - 1
-    drop = sum(1 << v for v in forced)
-    # A dict drops repeats and keeps the pairs' order, which the sort by
-    # size keeps within each size; a set's order cost the search 30% more
-    # nodes on dense graphs (58k -> 76k at n = 28).
-    masks = {mask: None for i, a in enumerate(codes) for b in codes[i + 1:]
-             if not (mask := full ^ (a & b) % full) & drop}
-    # A superset is hit whenever its subset is: dropping it about halves the search time.
-    minimal: list[int] = []
-    for mask in sorted(masks, key=int.bit_count):
-        for kept in minimal:
-            if kept & mask == kept:
-                break
-        else:
-            minimal.append(mask)
-    return minimal
-
-
-def _first_hitting_set(candidates: Sequence[int], constraints: list[int],
-                       need: int, nodes: Iterator[int]) -> tuple[int, ...] | None:
-    """Lexicographically first `need` candidates hitting every constraint, or None.
-
-    The constraints hold candidate bits only.  At a node whose next pick
-    comes from candidates[pos:], every unhit constraint must keep a vertex
-    there, so the pick may not pass the lowest top bit among them.  Each
-    node draws its number from `nodes`; past _MAX_NODES the search raises
-    TooLargeError.
-    """
-    def extend(pos: int, need: int, unhit: list[int]) -> tuple[int, ...] | None:
+    def extend(pos: int, need: int, taken: int, unhit: list[int]) -> tuple[int, ...] | None:
         if next(nodes) > _MAX_NODES:
             raise TooLargeError(f"the exact search passed its budget of {_MAX_NODES} nodes")
         if not unhit:
-            # Sizes are tried upward, so no smaller set hits everything and
-            # need is 0 here.
-            return ()
+            unhit = refute(taken)
+            if not unhit:
+                return ()
+            masks.extend(unhit)
         if need == 0:
             return None
         # need >= 1 and every call keeps pos + need <= len(candidates): candidates[pos] exists.
         low = candidates[pos]
         # The smallest non-negative int has the smallest bit length.
         last = min(unhit).bit_length() - 1
-        # Disjoint constraints, restricted to the suffix, each need their own
+        # Disjoint masks, restricted to the suffix, each need their own
         # member.  This cut about halves the search time on density-0.4 graphs.
         used = packed = 0
         for c in unhit:
@@ -350,14 +344,20 @@ def _first_hitting_set(candidates: Sequence[int], constraints: list[int],
                 packed += 1
                 if packed > need:
                     return None
+        known = len(masks)
         for i in range(pos, len(candidates) - need + 1):
             v = candidates[i]
             if v > last:
                 break
             bit = 1 << v
-            found = extend(i + 1, need - 1, [c for c in unhit if not c & bit])
+            found = extend(i + 1, need - 1, taken | bit, [c for c in unhit if not c & bit])
             if found is not None:
                 return (v,) + found
+            if len(masks) > known:
+                # A refuted set holds these picks, so its masks miss them all.
+                unhit += masks[known:]
+                known = len(masks)
+                last = min(unhit).bit_length() - 1
         return None
 
-    return extend(0, need, constraints)
+    return extend(0, need, 0, masks[:])

@@ -65,3 +65,18 @@ def wheel(rim: int) -> Graph:
     edges = [(i, (i + 1) % rim) for i in range(rim)]
     edges += [(rim, i) for i in range(rim)]
     return build_graph(rim + 1, edges)
+
+
+def theta(p: int, q: int, r: int) -> Graph:
+    """Poles 0 and 1 joined by internally disjoint paths of p, q and r edges.
+
+    The inner vertices are numbered from 2 up, path by path, each path in
+    order from pole 0; q >= 2 keeps the graph simple.
+    """
+    edges, nxt = [], 2
+    for length in (p, q, r):
+        inner = list(range(nxt, nxt + length - 1))
+        nxt += length - 1
+        ends = [0, *inner, 1]
+        edges += zip(ends, ends[1:])
+    return build_graph(nxt, edges)

@@ -1,27 +1,33 @@
 """Definition-level verification and exhaustive search."""
 
+import itertools
 import random
 import tracemalloc
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedmetric import (
     CactusSpec,
     EmptySetError,
+    GraphClassTag,
+    InvariantError,
     TooLargeError,
     brute_force_mdim,
+    build_graph,
     build_min_generator,
     decompose,
     graph_stats,
     is_mixed_generator,
+    mdim_exact,
     oracle,
     random_cactus,
     random_connected_graph,
 )
 
-from graphs import bowtie, complete, cycle, path, star, tadpole
+from graphs import bowtie, complete, cycle, path, star, tadpole, theta
 from reference import _element_rows, reference_brute_force_mdim, reference_is_mixed_generator
 
 
@@ -243,35 +249,111 @@ def test_certifies_a_three_hundred_cycle_cactus():
     assert ok is False and pair is not None
 
 
-# brute_force_mdim's value, witness, constraint count and search nodes on
+# brute_force_mdim's value, witness, final mask count and search nodes on
 # seeded density-0.4 graphs: the search shares the verifier's BFS, and a
-# change there must not move the campaign's search.
-@pytest.mark.parametrize("n, m, seed, value, witness, constraints, nodes", [
-    (14, 36, 1, 7, (0, 2, 3, 4, 8, 9, 10), 38, 47),
-    (14, 36, 2, 7, (0, 1, 4, 7, 8, 9, 10), 34, 50),
-    (16, 48, 3, 8, (0, 1, 2, 6, 8, 13, 14, 15), 45, 67),
-    (20, 76, 2, 10, (1, 2, 3, 4, 6, 7, 8, 10, 11, 17), 115, 1001),
+# change there must not move the campaign's search.  The masks are the
+# seeds' minimal ones plus those of every refuted set, in one list that the
+# searches of all sizes share.
+@pytest.mark.parametrize("n, m, seed, value, witness, masks, nodes", [
+    (14, 36, 1, 7, (0, 2, 3, 4, 8, 9, 10), 37, 44),
+    (14, 36, 2, 7, (0, 1, 4, 7, 8, 9, 10), 33, 61),
+    (16, 48, 3, 8, (0, 1, 2, 6, 8, 13, 14, 15), 44, 74),
+    (20, 76, 2, 10, (1, 2, 3, 4, 6, 7, 8, 10, 11, 17), 113, 885),
 ])
-def test_search_work_is_pinned(monkeypatch, n, m, seed, value, witness, constraints, nodes):
-    import itertools
-
-    counters, built = [], []
-    real = oracle._constraints
+def test_search_work_is_pinned(monkeypatch, n, m, seed, value, witness, masks, nodes):
+    counters, shared = [], []
+    real = oracle._first_hitting_set
 
     def counting(start):
         counters.append(itertools.count(start))
         return counters[-1]
 
-    def recording(*args):
-        built.append(real(*args))
-        return built[-1]
+    def recording(candidates, masks, *args):
+        shared.append(masks)
+        return real(candidates, masks, *args)
 
     monkeypatch.setattr(oracle, "count", counting)
-    monkeypatch.setattr(oracle, "_constraints", recording)
+    monkeypatch.setattr(oracle, "_first_hitting_set", recording)
     result = brute_force_mdim(random_connected_graph(n, m, seed), max_n=20)
     assert (result.value, result.witness) == (value, witness)
-    assert [len(c) for c in built] == [constraints]
+    assert len(shared) == value and all(masks is shared[0] for masks in shared)
+    assert len(shared[0]) == masks
     assert sum(next(c) - 1 for c in counters) == nodes
+
+
+def test_a_refutation_deep_in_one_branch_cuts_a_later_sibling():
+    # Masks {0, 1} and {2, 3}.  The first leaf, {0, 2}, is refuted with the
+    # mask {1}, which no set through 0 can hit: the frame of {0} takes it up
+    # and skips its sibling {0, 3}, and the root goes on to {1, 2}, which
+    # the stub accepts.  Without the frames taking the mask up, {0, 3}
+    # would be refuted too.
+    refuted = []
+
+    def refute(taken):
+        refuted.append(taken)
+        return [0b0010] if taken == 0b0101 else []
+
+    masks = [0b0011, 0b1100]
+    nodes = itertools.count(1)
+    assert oracle._first_hitting_set([0, 1, 2, 3], masks, 2, nodes, refute) == (1, 2)
+    assert refuted == [0b0101, 0b0110]
+    assert masks == [0b0011, 0b1100, 0b0010]
+    # The root, {0}, {0, 1} (which misses {2, 3} with no pick left),
+    # {0, 2}, {1} and {1, 2}.
+    assert next(nodes) == 7
+
+
+@pytest.mark.parametrize("extra", [(), (0, 1)])
+def test_an_accepted_set_of_another_size_raises(monkeypatch, extra):
+    # C5 has no leaves, so its size-3 search must accept 3 members; this
+    # stub refutes every smaller size and then accepts `extra`.
+    monkeypatch.setattr(oracle, "_first_hitting_set",
+                        lambda candidates, masks, need, nodes, refute: extra if need == 3 else None)
+    with pytest.raises(InvariantError, match=f"the size-3 search accepted {len(extra)}"):
+        brute_force_mdim(cycle(5))
+
+
+def test_every_connected_atlas_graph():
+    # All 995 connected graphs on 2..7 vertices.  The oracle equals the
+    # enumeration, the formula equals the oracle on the 102 cacti, and the
+    # bound l1 + 2c holds on every graph but C_n.  It is tight on four
+    # non-cacti, the thetas with r - p <= 1: θ(1, 2, 2), θ(2, 2, 2),
+    # θ(2, 2, 3) and θ(2, 3, 3).
+    graphs = [build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()
+              if h.number_of_nodes() >= 2 and nx.is_connected(h)]
+    assert len(graphs) == 995
+    tight, cacti = [], 0
+    for g in graphs:
+        result = brute_force_mdim(g)
+        assert result == reference_brute_force_mdim(g), g.edges
+        d = decompose(g)
+        if d.cycles is not None:
+            cacti += 1
+            assert mdim_exact(g).total == result.value, g.edges
+        if d.graph_class.tag is not GraphClassTag.CYCLE:
+            bound = d.stats.l1 + 2 * d.stats.cyclomatic
+            assert result.value <= bound, g.edges
+            if d.cycles is None and result.value == bound:
+                tight.append(g.edges)
+    assert cacti == 102
+    assert tight == [
+        ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)),
+        ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+        ((0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (3, 5)),
+        ((0, 1), (0, 5), (0, 6), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5)),
+    ]
+
+
+def test_theta_graphs_have_dimension_four_exactly_when_their_paths_are_near_equal():
+    # θ(p, q, r) with 1 <= p <= q <= r <= 12 and q >= 2: 352 graphs, up to
+    # n = 35, whose searches refute many sets.  It also guards the search's
+    # cost: these take 6.4e4 nodes in all, 1.6e3 at most, where a search that
+    # restarted after each refutation took 9.1e5, and 1.4e5 on one theta.
+    shapes = [(p, q, r) for r in range(2, 13) for q in range(2, r + 1) for p in range(1, q + 1)]
+    assert len(shapes) == 352
+    for p, q, r in shapes:
+        g = theta(p, q, r)
+        assert brute_force_mdim(g, max_n=g.n).value == (4 if r - p <= 1 else 3), (p, q, r)
 
 
 _element_codes = oracle._element_codes
