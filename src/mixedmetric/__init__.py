@@ -32,8 +32,7 @@ _HOMES = {
         "graph": ("Edge", "Element", "Graph", "GraphStats", "build_graph", "graph_stats"),
         "oracle": ("FailingPair", "SearchResult", "brute_force_mdim", "is_mixed_generator"),
         "structure": ("CycleInfo", "Decomposition", "GraphClass", "GraphClassTag",
-                      "augment_for_triple", "biconnected_blocks", "classify", "decompose",
-                      "has_geodesic_triple"),
+                      "augment_for_triple", "classify", "decompose", "has_geodesic_triple"),
     }.items()
     for name in names
 }

@@ -20,7 +20,7 @@ import json
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from .errors import (
@@ -72,14 +72,14 @@ def parse_graph_file(path: str) -> Graph:
     The file's leading plain lines are read in blocks (_plain_prefix).
     The line reader then checks every line after them in full: comments,
     blank lines, other spellings and separators, a missing final newline,
-    and each error with its line number.
+    and each error with its line number.  The header and the endpoints
+    go to one flat list of ints, two per line, and build_graph reads the
+    edges through a view of it (_Pairs), so no tuple is made per edge.
     """
     # Undecodable bytes become lone surrogates, so the line they sit on is known.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        pairs, rest = _plain_prefix(fh)
-        header: tuple[int, int] | None = pairs[0] if pairs else None
-        edges = pairs[1:]
-        lineno = len(pairs)
+        flat, rest = _plain_prefix(fh)
+        lineno = len(flat) // 2
         # StringIO ends lines at '\n' only, as the file object does.
         for lineno, raw in enumerate(chain(io.StringIO(rest), fh), start=lineno + 1):
             if not raw.isascii():
@@ -98,25 +98,44 @@ def parse_graph_file(path: str) -> Graph:
                 a, b = _decimal(fields[0]), _decimal(fields[1])
             except ValueError:
                 raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
-            if header is None:
-                header = (a, b)
-            elif len(edges) < header[1]:
-                edges.append((a, b))
+            # The header, or an edge within the header's count.
+            if not flat or len(flat) < 2 * flat[1] + 2:
+                flat += a, b
             else:
-                raise ParseError(lineno, f"more than the declared {header[1]} edges")
-    if header is None:
+                raise ParseError(lineno, f"more than the declared {flat[1]} edges")
+    if not flat:
         raise ParseError(lineno + 1, "missing 'n m' header line")
-    if len(edges) != header[1]:
-        raise ParseError(lineno + 1, f"declared {header[1]} edges, found {len(edges)}")
-    n, m = header
+    n, m = flat[0], flat[1]
+    if len(flat) != 2 * m + 2:
+        raise ParseError(lineno + 1, f"declared {m} edges, found {len(flat) // 2 - 1}")
     if m < n - 1:
         # Checked before build_graph allocates n adjacency lists.
         raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
-    return build_graph(n, edges)
+    return build_graph(n, _Pairs(flat))
 
 
-def _plain_prefix(fh) -> tuple[list[tuple[int, int]], str]:
-    """The pairs of the file's leading plain lines, and the text after them.
+class _Pairs:
+    """The edges of a flat [n, m, u1, v1, u2, v2, ...] list, as (u, v) pairs.
+
+    Sized and iterable more than once, as build_graph needs; each pass
+    zips one iterator with itself, so no pair outlives its loop step.
+    """
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat: list[int]) -> None:
+        self.flat = flat
+
+    def __len__(self) -> int:
+        return len(self.flat) // 2 - 1
+
+    def __iter__(self):
+        it = islice(self.flat, 2, None)
+        return zip(it, it)
+
+
+def _plain_prefix(fh) -> tuple[list[int], str]:
+    """The numbers of the file's leading plain lines, and the text after them.
 
     A plain line is two runs of ASCII digits, one space between them and a
     newline after, which int() reads as _decimal would.  The file is read
@@ -125,10 +144,11 @@ def _plain_prefix(fh) -> tuple[list[tuple[int, int]], str]:
     them are plain and they hold no edge past the header's count.  At the
     first block that fails that, the text returned holds its lines, up to
     the line end after them; otherwise it is the file's unterminated last
-    line, if any.  Each pair taken is one line, so the pairs number the
-    lines read, and the line reader goes on from the text returned.
+    line, if any.  Each line taken adds two numbers, so half their count
+    numbers the lines read, and the line reader goes on from the text
+    returned.
     """
-    pairs: list[tuple[int, int]] = []
+    flat: list[int] = []
     carry = ""
     while block := fh.read(_BLOCK):
         cut = block.rfind("\n") + 1
@@ -138,18 +158,17 @@ def _plain_prefix(fh) -> tuple[list[tuple[int, int]], str]:
         lines = carry + block[:cut]
         carry = block[cut:]
         if _PLAIN_LINES.fullmatch(lines):
-            numbers = map(int, lines.split())
-            taken = len(pairs)
+            taken = len(flat)
             try:
-                pairs += zip(numbers, numbers)
+                flat += map(int, lines.split())
             except ValueError:
                 pass  # a run past int()'s digit limit: the line reader names its line
             else:
-                if len(pairs) <= pairs[0][1] + 1:
+                if len(flat) <= 2 * flat[1] + 2:
                     continue
-            del pairs[taken:]
-        return pairs, lines + carry + fh.readline()
-    return pairs, carry
+            del flat[taken:]
+        return flat, lines + carry + fh.readline()
+    return flat, carry
 
 
 def _emit(payload: dict) -> None:

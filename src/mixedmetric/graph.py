@@ -11,6 +11,7 @@ reachability walk.  Distances live in the oracle (oracle._element_codes).
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -119,8 +120,10 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
-    if not isinstance(edge_list, (list, tuple)):
-        # A one-shot iterable: the error scan below may read it again.
+    if not isinstance(edge_list, Sized):
+        # Perhaps a one-shot iterable: the error scan below may read it
+        # again.  A sized one, such as the parser's view of its flat list,
+        # is read twice as it is.
         edge_list = list(edge_list)
     neighbors: list[list[int] | tuple[int, ...]] = [[] for _ in range(n)]
     # One int object per vertex id, held by the adjacency and reused by the

@@ -1,12 +1,17 @@
 """Cactus recognition and per-cycle combinatorial structure.
 
 A cactus is a connected graph whose blocks are single edges or cycles.
-biconnected_blocks yields each block as the (tail, head) edges the depth-
-first search pushed, in push order, and a leaf's edge as soon as the
-search meets it; a cycle block's tails, in that order, are its ring.
-decompose reads the blocks once per graph and keeps what every consumer
-reads: the structural class, the leaf statistics and the cycles, each
-cycle oriented into a deterministic ring with its root positions marked.
+decompose finds the blocks with one depth-first search per graph, in the
+vertex-stack form of Hopcroft and Tarjan's search (Tarjan 1972; Hopcroft
+and Tarjan 1973).  A block closes at a tree edge (u, v) and holds u, the
+vertices pushed on the stack from v on, and the back edges found since v
+was pushed.  With no back edge the block is a bridge; with one it is a
+cycle, and u followed by those vertices in push order walks its ring; with
+two or more it is neither, and the graph is no cactus.  No edge or block is
+stored.  decompose keeps what every consumer reads: the structural class,
+the leaf statistics and the cycles, each cycle oriented into a
+deterministic ring with its root positions marked.
+
 The module also decides geodesic-triple questions on a ring.  Three ring
 positions form a geodesic triple exactly when the three arcs they cut have
 length at most floor(L/2) each, which is equivalent to their pairwise ring
@@ -21,10 +26,9 @@ from __future__ import annotations
 
 import enum
 from itertools import compress, count
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .graph import Edge, Graph, GraphStats, graph_stats
+from .graph import Graph, GraphStats, graph_stats
 
 
 class GraphClassTag(enum.Enum):
@@ -60,71 +64,8 @@ class CycleInfo(NamedTuple):
         return len(self.root_positions)
 
 
-def biconnected_blocks(g: Graph) -> Iterator[list[Edge]]:
-    """Yield the blocks (maximal biconnected subgraphs), each as it completes.
-
-    A block is the list of its edges in the order the depth-first search
-    from vertex 0 pushed them.  Each edge is a (tail, head) pair: a tree
-    edge points away from the root and a back edge to its ancestor.  A
-    leaf other than the root is met by one tree edge only, which is a
-    block by itself, so it is yielded there, and the leaf gets no frame.
-    A block found on a vertex's return cuts the edge stack at the index
-    its frame holds.
-
-    A block of two or more edges has at least as many edges as vertices,
-    and as many only when it is a cycle.  Distinct tails allow no more
-    edges than vertices, and a cycle's tails are distinct: its tree edges
-    are a path from its first vertex, pushed in order, closed by its one
-    back edge.  So a block is a cycle exactly when it has two or more
-    edges and distinct tails, and its tails, in order, walk the ring.
-    """
-    adjacency = g.adjacency
-    disc = [-1] * g.n
-    low = [0] * g.n
-    edge_stack: list[Edge] = []
-
-    # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
-    # Each frame of the DFS path holds a vertex, its parent (-1 at the root),
-    # the iterator over its neighbours, resumed where the scan left off, and
-    # the edge stack's index of the tree edge into it.
-    disc[0] = low[0] = 0
-    timer = 1
-    path = [(0, -1, iter(adjacency[0]), 0)]
-    while path:
-        v, u, neighbors, k = path[-1]
-        # Scan v's neighbours until a tree edge leads down; the loop makes
-        # no call per neighbour, and the for-else runs once v is finished.
-        for w in neighbors:
-            if disc[w] < 0:
-                if len(adjacency[w]) == 1:
-                    # A leaf: its edge is a block, and no other vertex
-                    # meets it, so it needs no frame and no disc.
-                    yield [(v, w)]
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                path.append((w, v, iter(adjacency[w]), len(edge_stack)))
-                edge_stack.append((v, w))
-                break
-            if disc[w] < disc[v] and w != u:
-                # A back edge.  At the root (disc 0) the first test fails.
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            path.pop()
-            if path:
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # The block is the tree edge (u, v) and every edge pushed after it.
-                    block = edge_stack[k:]
-                    del edge_stack[k:]
-                    yield block
-
-
 class Decomposition(NamedTuple):
-    """Block structure of a connected graph, from one biconnected_blocks pass.
+    """Block structure of a connected graph, from one block search.
 
     cycles holds every cycle as a deterministic ring, sorted by ring tuple,
     () for a tree, and is None for a graph outside the cactus family.  The
@@ -140,6 +81,9 @@ class Decomposition(NamedTuple):
 def decompose(g: Graph) -> Decomposition:
     """The block structure of g, found on the first call and kept on g.
 
+    One depth-first search from vertex 0 finds every block; a cycle's ring
+    is read off its vertex stack, and a leaf gets no frame on its path.
+
     A Graph is immutable, so later calls on the same object return the
     stored result.  Two threads racing on a fresh graph both compute an
     equal result, and either one may stay.
@@ -154,23 +98,10 @@ def decompose(g: Graph) -> Decomposition:
 
 
 def _decompose(g: Graph) -> Decomposition:
-    fat = 0
-    rings = []
-    for block in biconnected_blocks(g):
-        if len(block) >= 2:
-            fat += 1
-            ring = list(map(itemgetter(0), block))
-            if len(set(ring)) == len(ring):
-                # A cycle: start at its lowest vertex, then turn toward the
-                # smaller of that vertex's ring neighbours.
-                i = ring.index(min(ring))
-                ring = ring[i:] + ring[:i]
-                if ring[-1] < ring[1]:
-                    ring[1:] = ring[:0:-1]
-                rings.append(tuple(ring))
+    rings, general = _block_search(g)
     stats = graph_stats(g)
     c = len(rings)
-    if c != fat:
+    if general:
         return Decomposition(GraphClass(GraphClassTag.GENERAL, c), stats, None)
     if c == 0:
         tag = GraphClassTag.TREE
@@ -186,6 +117,74 @@ def _decompose(g: Graph) -> Decomposition:
         for ring in rings
     )
     return Decomposition(GraphClass(tag, c), stats, cycles)
+
+
+def _block_search(g: Graph) -> tuple[list[tuple[int, ...]], bool]:
+    """The rings of g's cycle blocks, and whether a block is neither cycle nor bridge.
+
+    Each ring is oriented as CycleInfo documents.  The search's per-vertex
+    lists and discovery times are freed on return, before the caller
+    builds the cycles.
+    """
+    # Iterative Hopcroft-Tarjan from vertex 0; the graph is connected, so
+    # one root suffices.  Each frame of the DFS path holds a vertex, its
+    # parent (-1 at the root), the iterator over its neighbours, resumed
+    # where the scan left off, the index at which the vertex went on the
+    # vertex stack, and the count of back edges pending at that push.
+    adjacency = g.adjacency
+    disc = [-1] * g.n
+    low = [0] * g.n
+    stack = [0]
+    pending = 0
+    general = False
+    rings = []
+    disc[0] = low[0] = 0
+    timer = 1
+    path = [(0, -1, iter(adjacency[0]), 0, 0)]
+    while path:
+        v, u, neighbors, i, owed = path[-1]
+        # Scan v's neighbours until a tree edge leads down; the loop makes
+        # no call per neighbour, and the for-else runs once v is finished.
+        for w in neighbors:
+            if disc[w] < 0:
+                if len(adjacency[w]) == 1:
+                    # A leaf: its edge is a bridge, and no other vertex
+                    # meets it, so it needs no frame, no disc and no push.
+                    continue
+                disc[w] = low[w] = timer
+                timer += 1
+                path.append((w, v, iter(adjacency[w]), len(stack), pending))
+                stack.append(w)
+                break
+            if disc[w] < disc[v] and w != u:
+                # A back edge.  At the root (disc 0) the first test fails.
+                pending += 1
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
+            path.pop()
+            if path:
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    # The block of tree edge (u, v): u and the vertices
+                    # pushed from v on, with the back edges found since.
+                    back = pending - owed
+                    if back == 1:
+                        # A cycle, walked from u down its tree path.  Start
+                        # at its lowest vertex, then turn toward the smaller
+                        # of that vertex's ring neighbours.
+                        ring = [u, *stack[i:]]
+                        k = ring.index(min(ring))
+                        ring = ring[k:] + ring[:k]
+                        if ring[-1] < ring[1]:
+                            ring[1:] = ring[:0:-1]
+                        rings.append(tuple(ring))
+                    elif back:
+                        general = True
+                    del stack[i:]
+                    pending = owed
+    return rings, general
 
 
 def classify(g: Graph) -> GraphClass:

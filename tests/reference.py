@@ -10,20 +10,29 @@ draw lists every non-edge and samples that list, where the package's
 random_connected_graph samples ranks and maps them to pairs.  The
 triple completion tries every combination of free ring positions, and the
 parser checks every line in full, where the package builds the completion
-from the gaps and reads a file's leading plain lines in blocks.
+from the gaps and reads a file's leading plain lines in blocks.  The block
+search keeps every block as the list of its edges, and the decomposition
+tells a cycle from the block's edges, where the package's search keeps a
+stack of vertices and counts each block's back edges.
 """
 
 import random
 from itertools import combinations
+from operator import itemgetter
 
 import networkx as nx
 
 from mixedmetric import (
+    CycleInfo,
+    Decomposition,
     DisconnectedError,
     FailingPair,
+    GraphClass,
+    GraphClassTag,
     ParseError,
     SearchResult,
     build_graph,
+    graph_stats,
     has_geodesic_triple,
 )
 from mixedmetric.conjecture import _prufer_edges
@@ -150,3 +159,89 @@ def reference_parse_graph_file(path):
     if m < n - 1:
         raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
     return build_graph(n, edges)
+
+
+def reference_blocks(g):
+    """Yield the blocks (maximal biconnected subgraphs), each as it completes.
+
+    A block is the list of its edges in the order the depth-first search
+    from vertex 0 pushed them.  Each edge is a (tail, head) pair: a tree
+    edge points away from the root and a back edge to its ancestor.  A
+    leaf other than the root is met by one tree edge only, which is a
+    block by itself, so it is yielded there, and the leaf gets no frame.
+    A block found on a vertex's return cuts the edge stack at the index
+    its frame holds.
+
+    A block of two or more edges has at least as many edges as vertices,
+    and as many only when it is a cycle.  Distinct tails allow no more
+    edges than vertices, and a cycle's tails are distinct: its tree edges
+    are a path from its first vertex, pushed in order, closed by its one
+    back edge.  So a block is a cycle exactly when it has two or more
+    edges and distinct tails, and its tails, in order, walk the ring.
+    """
+    adjacency = g.adjacency
+    disc = [-1] * g.n
+    low = [0] * g.n
+    edge_stack = []
+
+    # Iterative Hopcroft-Tarjan; the graph is connected so one root suffices.
+    # Each frame of the DFS path holds a vertex, its parent (-1 at the root),
+    # the iterator over its neighbours, resumed where the scan left off, and
+    # the edge stack's index of the tree edge into it.
+    disc[0] = low[0] = 0
+    timer = 1
+    path = [(0, -1, iter(adjacency[0]), 0)]
+    while path:
+        v, u, neighbors, k = path[-1]
+        for w in neighbors:
+            if disc[w] < 0:
+                if len(adjacency[w]) == 1:
+                    yield [(v, w)]
+                    continue
+                disc[w] = low[w] = timer
+                timer += 1
+                path.append((w, v, iter(adjacency[w]), len(edge_stack)))
+                edge_stack.append((v, w))
+                break
+            if disc[w] < disc[v] and w != u:
+                edge_stack.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
+            path.pop()
+            if path:
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    block = edge_stack[k:]
+                    del edge_stack[k:]
+                    yield block
+
+
+def reference_decompose(g):
+    """decompose, with each cycle told from its block's edges (reference_blocks)."""
+    fat = 0
+    rings = []
+    for block in reference_blocks(g):
+        if len(block) >= 2:
+            fat += 1
+            ring = list(map(itemgetter(0), block))
+            if len(set(ring)) == len(ring):
+                i = ring.index(min(ring))
+                ring = ring[i:] + ring[:i]
+                if ring[-1] < ring[1]:
+                    ring[1:] = ring[:0:-1]
+                rings.append(tuple(ring))
+    stats = graph_stats(g)
+    c = len(rings)
+    if c != fat:
+        return Decomposition(GraphClass(GraphClassTag.GENERAL, c), stats, None)
+    if c == 0:
+        tag = GraphClassTag.TREE
+    elif c == 1:
+        tag = GraphClassTag.UNICYCLIC if stats.l1 else GraphClassTag.CYCLE
+    else:
+        tag = GraphClassTag.CACTUS
+    cycles = tuple(CycleInfo(ring, frozenset(i for i, v in enumerate(ring) if g.degree(v) >= 3))
+                   for ring in sorted(rings))
+    return Decomposition(GraphClass(tag, c), stats, cycles)

@@ -93,6 +93,26 @@ class TestParseGraphFile:
         with pytest.raises(DisconnectedError):
             parse_graph_file(graph_file("4 2\n0 1\n2 3\n"))
 
+    @pytest.mark.parametrize("text, outcome", [
+        # The first block is plain; the next starts with a comment, so the
+        # line reader takes over at line 3.
+        ("3 2\n0 1\n# c\n1 2\n", (3, ((0, 1), (1, 2)))),
+        ("3 2\n0 1\n# c\n1 2\n2 0\n", "line 5: more than the declared 2 edges"),
+        ("3 2\n0 1\n# c\n1 x\n", "line 4: expected two integers, got '1 x'"),
+        ("3 2\n0 1\n# c\n", "line 4: declared 2 edges, found 1"),
+    ], ids=["edges", "extra-edge", "bad-token", "missing-edge"])
+    def test_a_later_block_starting_with_a_comment(self, graph_file, text, outcome):
+        path = graph_file(text)
+        with mock.patch.object(cli, "_BLOCK", 8):
+            if isinstance(outcome, str):
+                with pytest.raises(ParseError, match=re.escape(outcome)):
+                    parse_graph_file(path)
+            else:
+                g = parse_graph_file(path)
+                assert (g.n, g.edges) == outcome
+            assert parse_outcome(parse_graph_file, path) == \
+                parse_outcome(reference_parse_graph_file, path)
+
     def test_too_few_edges_fail_before_building(self, graph_file, monkeypatch):
         import mixedmetric.cli as cli_mod
 
@@ -213,9 +233,8 @@ class TestVerbs:
         import mixedmetric.structure as structure_mod
 
         calls = []
-        real = structure_mod.biconnected_blocks
-        monkeypatch.setattr(structure_mod, "biconnected_blocks",
-                            lambda g: calls.append(g) or real(g))
+        real = structure_mod._block_search
+        monkeypatch.setattr(structure_mod, "_block_search", lambda g: calls.append(g) or real(g))
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 0
         assert len(calls) == 1
 
@@ -467,6 +486,13 @@ class TestExitCodes:
 
     def test_parse_error_is_one(self, graph_file, capsys):
         assert run(["classify", graph_file("3 2\n0 1\n")]) == 1
+
+    def test_a_commented_file_declaring_more_edges_than_it_lists_is_one(self, graph_file, capsys):
+        # The malformed file of the benchmark's CLI workload: a comment first,
+        # so the line reader reads every line.
+        path = graph_file("# declares more edges than it lists\n4 3\n0 1\n1 2\n")
+        assert run(["dim", path]) == 1
+        assert capsys.readouterr() == ("", "error: line 5: declared 3 edges, found 2\n")
 
     def test_structural_error_is_two(self, graph_file, capsys):
         assert run(["classify", graph_file("4 2\n0 1\n2 3\n")]) == 2

@@ -39,7 +39,7 @@ def test_public_names_are_pinned():
         "GraphClassTag", "GraphStats", "InfeasibleEdgeCountError", "InvalidSpecError",
         "InvariantError", "MdimReport", "MixedMetricError", "NotACactusError", "ParseError",
         "SearchResult", "SelfLoopError", "TooLargeError", "TooSmallError",
-        "VertexOutOfRangeError", "augment_for_triple", "biconnected_blocks", "bound_report",
+        "VertexOutOfRangeError", "augment_for_triple", "bound_report",
         "brute_force_mdim", "build_graph", "build_min_generator", "classify", "decompose",
         "evaluate_conjecture", "graph_stats", "has_geodesic_triple", "is_mixed_generator",
         "mdim_exact", "random_cactus", "random_connected_graph", "run_campaign",

@@ -19,7 +19,6 @@ from mixedmetric import (
     GraphClassTag,
     InvariantError,
     augment_for_triple,
-    biconnected_blocks,
     bound_report,
     brute_force_mdim,
     build_graph,
@@ -37,7 +36,7 @@ from mixedmetric import (
 )
 
 from graphs import bowtie, complete, cycle, path, tadpole
-from reference import reference_augment_for_triple
+from reference import reference_augment_for_triple, reference_blocks, reference_decompose
 
 
 # --- independent test oracles -------------------------------------------
@@ -176,7 +175,7 @@ def test_blocks_match_networkx(n, extra, seed):
     h = nx.Graph(list(g.edges))
     expected = {frozenset(edge(u, v) for u, v in comp)
                 for comp in nx.biconnected_component_edges(h)}
-    blocks = list(biconnected_blocks(g))
+    blocks = list(reference_blocks(g))
     assert {frozenset(edge(u, v) for u, v in b) for b in blocks} == expected
     for block in blocks:
         check_block_shape(block)
@@ -191,7 +190,58 @@ def test_blocks_when_the_root_is_a_leaf(n, edges, blocks):
     # The search starts at vertex 0, a leaf here, so its one tree edge
     # closes the last block.  Every other leaf's edge is a block of its
     # own, yielded as the search meets it.
-    assert list(biconnected_blocks(build_graph(n, edges))) == blocks
+    assert list(reference_blocks(build_graph(n, edges))) == blocks
+
+
+@st.composite
+def decomposable_graphs(draw):
+    """A general graph, cactus, tree, bare ring or edge, relabelled at random.
+
+    Half the graphs with a leaf get one as vertex 0, where the search starts.
+    """
+    n = draw(st.integers(3, 30))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["general", "cactus", "tree", "ring", "edge"]))
+    if kind == "general":
+        extra = draw(st.integers(0, 2 * n))
+        g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed)
+    elif kind == "cactus":
+        g = draw(random_cacti)
+    elif kind == "tree":
+        g = random_connected_graph(n, n - 1, seed)
+    elif kind == "ring":
+        g = cycle(n)
+    else:
+        g = build_graph(2, [(0, 1)])
+    label = list(range(g.n))
+    draw(st.randoms(use_true_random=False)).shuffle(label)
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    if leaves and draw(st.booleans()):
+        leaf = draw(st.sampled_from(leaves))
+        k = label.index(0)
+        label[leaf], label[k] = 0, label[leaf]
+    return build_graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+
+@given(decomposable_graphs())
+@settings(max_examples=300, deadline=None)
+def test_decompose_matches_the_edge_list_block_search(g):
+    # Tag, cycle count, stats, rings and root positions: the vertex stack's
+    # decomposition equals the one read off reference_blocks.
+    assert decompose(g) == reference_decompose(g)
+
+
+def test_decompose_matches_the_edge_list_block_search_on_a_deep_chain():
+    # 5000 triangles, each sharing a vertex with the next: the search
+    # descends about 10,000 levels, the leaves at both ends included.
+    c = 5000
+    edges = [e for i in range(c) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2),
+                                           (2 * i, 2 * i + 2))]
+    edges += [(2 * c + 1, 0), (2 * c, 2 * c + 2)]
+    g = build_graph(2 * c + 3, edges)
+    d = decompose(g)
+    assert d.graph_class == GraphClass(GraphClassTag.CACTUS, c)
+    assert d.stats.l1 == 2 and d == reference_decompose(g)
 
 
 class TestExtractCycles:
@@ -262,8 +312,8 @@ def test_each_public_call_finds_the_blocks_once(monkeypatch, call, graph):
     # random_cactus classifies its graph, which keeps the blocks on it.
     g = build_graph(g.n, g.edges)
     calls = []
-    real = structure.biconnected_blocks
-    monkeypatch.setattr(structure, "biconnected_blocks", lambda g: calls.append(g) or real(g))
+    real = structure._block_search
+    monkeypatch.setattr(structure, "_block_search", lambda g: calls.append(g) or real(g))
     call(g)
     assert len(calls) == 1
 
@@ -272,8 +322,8 @@ def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
     g = random_cactus(CactusSpec(3, (3, 6), 3, seed=7))
     g = build_graph(g.n, g.edges)
     calls = []
-    real = structure.biconnected_blocks
-    monkeypatch.setattr(structure, "biconnected_blocks", lambda g: calls.append(g) or real(g))
+    real = structure._block_search
+    monkeypatch.setattr(structure, "_block_search", lambda g: calls.append(g) or real(g))
     for call in (classify, decompose, mdim_exact, bound_report, build_min_generator,
                  evaluate_conjecture):
         call(g)
@@ -490,7 +540,7 @@ class TestAugmentForTriple:
 @given(random_cacti)
 @settings(max_examples=40, deadline=None)
 def test_blocks_partition_edges(g):
-    blocks = list(biconnected_blocks(g))
+    blocks = list(reference_blocks(g))
     counted = sorted(edge(u, v) for b in blocks for u, v in b)
     assert counted == sorted(g.edges)
     for block in blocks:
