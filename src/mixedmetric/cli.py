@@ -1,12 +1,13 @@
 """Command-line surface: classify, dim, generator, verify, oracle, bounds, conjecture.
 
 Graphs come from edge-list text files: optional '#' comment lines, a
-header line 'n m', then m lines 'u v' with 0-indexed endpoints.  A
-file's leading plain lines, two digit runs and one space each, are read in
-blocks and converted in bulk; a line reader checks the rest in full.  Exit
-codes: 0 success, 1 usage or parse error, 2 structural precondition
-failure (not a cactus, too large, disconnected, ...), 3 internal
-invariant breach (formula disagreeing with the oracle; never expected).
+header line 'n m', then m lines 'u v' with 0-indexed endpoints.  The
+file is read in blocks that end at line ends: a block of plain lines, two
+digit runs and one space each, is converted in bulk, and any other block
+is checked line by line in full.  Exit codes: 0 success, 1 usage or parse
+error, 2 structural precondition failure (not a cactus, too large,
+disconnected, ...), 3 internal invariant breach (formula disagreeing with
+the oracle; never expected).
 
 Each verb imports the modules it runs once its input is read, so a call
 loads only those and a malformed file loads none of them.
@@ -20,7 +21,7 @@ import json
 import os
 import re
 import sys
-from itertools import chain, islice
+from itertools import islice
 from typing import Sequence
 
 from .errors import (
@@ -37,9 +38,11 @@ EXIT_USAGE = 1
 EXIT_STRUCTURAL = 2
 EXIT_INTERNAL = 3
 
-# Characters parse_graph_file reads from a file at a time.
+# Characters parse_graph_file reads at a time, before it reads on to the
+# line end.
 _BLOCK = 16384
-# Whole plain lines: two runs of ASCII digits, one space, a newline.
+# Whole plain lines: two runs of ASCII digits, one space, a newline.  int()
+# reads each run as _decimal would.
 _PLAIN_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 
@@ -69,40 +72,56 @@ def _decimal(text: str) -> int:
 def parse_graph_file(path: str) -> Graph:
     """Read the edge-list format strictly; errors carry line numbers.
 
-    The file's leading plain lines are read in blocks (_plain_prefix).
-    The line reader then checks every line after them in full: comments,
-    blank lines, other spellings and separators, a missing final newline,
-    and each error with its line number.  The header and the endpoints
-    go to one flat list of ints, two per line, and build_graph reads the
-    edges through a view of it (_Pairs), so no tuple is made per edge.
+    The file is read _BLOCK characters at a time and then on to the line
+    end, so no line spans two blocks.  A block of plain lines that holds
+    no edge past the header's count is converted in bulk.  Any other block
+    is checked line by line in full: comments, blank lines, other
+    spellings and separators, a missing final newline, and each error with
+    its line number.  The file is never sought, so a pipe reads as a file
+    does.  The header and the endpoints go to one flat list of ints, two
+    per line, and build_graph reads the edges through a view of it
+    (_Pairs), so no tuple is made per edge.
     """
+    flat: list[int] = []
+    lineno = 0
     # Undecodable bytes become lone surrogates, so the line they sit on is known.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        flat, rest = _plain_prefix(fh)
-        lineno = len(flat) // 2
-        # StringIO ends lines at '\n' only, as the file object does.
-        for lineno, raw in enumerate(chain(io.StringIO(rest), fh), start=lineno + 1):
-            if not raw.isascii():
+        while block := fh.read(_BLOCK) + fh.readline():
+            if _PLAIN_LINES.fullmatch(block):
+                taken = len(flat)
                 try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(lineno, "not UTF-8 text") from None
-            fields = raw.split()
-            # split() and strip() cut at the same whitespace, so the first
-            # field starts with '#' exactly when the stripped line does.
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != 2:
-                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
-            try:
-                a, b = _decimal(fields[0]), _decimal(fields[1])
-            except ValueError:
-                raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}") from None
-            # The header, or an edge within the header's count.
-            if not flat or len(flat) < 2 * flat[1] + 2:
-                flat += a, b
-            else:
-                raise ParseError(lineno, f"more than the declared {flat[1]} edges")
+                    flat += map(int, block.split())
+                except ValueError:
+                    pass  # a run past int()'s digit limit: the line checks name its line
+                else:
+                    if len(flat) <= 2 * flat[1] + 2:
+                        lineno += (len(flat) - taken) // 2
+                        continue
+                del flat[taken:]
+            # StringIO ends lines at '\n' only, as the file object does.
+            for lineno, raw in enumerate(io.StringIO(block), start=lineno + 1):
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError(lineno, "not UTF-8 text") from None
+                fields = raw.split()
+                # split() and strip() cut at the same whitespace, so the first
+                # field starts with '#' exactly when the stripped line does.
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if len(fields) != 2:
+                    raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+                try:
+                    a, b = _decimal(fields[0]), _decimal(fields[1])
+                except ValueError:
+                    raise ParseError(
+                        lineno, f"expected two integers, got {raw.strip()!r}") from None
+                # The header, or an edge within the header's count.
+                if not flat or len(flat) < 2 * flat[1] + 2:
+                    flat += a, b
+                else:
+                    raise ParseError(lineno, f"more than the declared {flat[1]} edges")
     if not flat:
         raise ParseError(lineno + 1, "missing 'n m' header line")
     n, m = flat[0], flat[1]
@@ -132,43 +151,6 @@ class _Pairs:
     def __iter__(self):
         it = islice(self.flat, 2, None)
         return zip(it, it)
-
-
-def _plain_prefix(fh) -> tuple[list[int], str]:
-    """The numbers of the file's leading plain lines, and the text after them.
-
-    A plain line is two runs of ASCII digits, one space between them and a
-    newline after, which int() reads as _decimal would.  The file is read
-    _BLOCK characters at a time, and a block's partial last line is carried
-    over to the next.  A block's whole lines are taken in bulk when all of
-    them are plain and they hold no edge past the header's count.  At the
-    first block that fails that, the text returned holds its lines, up to
-    the line end after them; otherwise it is the file's unterminated last
-    line, if any.  Each line taken adds two numbers, so half their count
-    numbers the lines read, and the line reader goes on from the text
-    returned.
-    """
-    flat: list[int] = []
-    carry = ""
-    while block := fh.read(_BLOCK):
-        cut = block.rfind("\n") + 1
-        if not cut:
-            carry += block
-            continue
-        lines = carry + block[:cut]
-        carry = block[cut:]
-        if _PLAIN_LINES.fullmatch(lines):
-            taken = len(flat)
-            try:
-                flat += map(int, lines.split())
-            except ValueError:
-                pass  # a run past int()'s digit limit: the line reader names its line
-            else:
-                if len(flat) <= 2 * flat[1] + 2:
-                    continue
-            del flat[taken:]
-        return flat, lines + carry + fh.readline()
-    return flat, carry
 
 
 def _emit(payload: dict) -> None:

@@ -35,8 +35,8 @@ class Graph:
     Immutable: assigning or deleting an attribute raises AttributeError.
     Equality, hashing and pickling read n and adjacency only, never the
     two memos filled on first read: _edges, the edges derived from the
-    adjacency when the constructor is given None for them, and
-    _decomposition, the block structure structure.decompose keeps.
+    adjacency, and _decomposition, the block structure structure.decompose
+    keeps.
     """
 
     __slots__ = ("n", "m", "adjacency", "_edges", "_decomposition", "__weakref__")
@@ -46,13 +46,12 @@ class Graph:
     m: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, edges: tuple[Edge, ...] | None,
-                 adjacency: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
         set_field = object.__setattr__
         set_field(self, "n", n)
         set_field(self, "m", sum(map(len, adjacency)) // 2)
         set_field(self, "adjacency", adjacency)
-        set_field(self, "_edges", edges)
+        set_field(self, "_edges", None)
         set_field(self, "_decomposition", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -91,7 +90,7 @@ class Graph:
         # The default protocol restores the slots through setattr, which a
         # Graph refuses.  A copy derives its own edges and block structure
         # on demand.
-        return (Graph, (self.n, None, self.adjacency))
+        return (Graph, (self.n, self.adjacency))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -163,7 +162,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     if not all(seen):
         raise DisconnectedError(f"vertex {seen.index(False)} not reachable from vertex 0")
     # The edges are derived from the adjacency when first read.
-    return Graph(n=n, edges=None, adjacency=adjacency)
+    return Graph(n, adjacency)
 
 
 def _raise_first_bad_edge(n: int, edge_list: Iterable[Sequence[int]], ids: list[int]) -> None:

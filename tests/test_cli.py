@@ -94,13 +94,16 @@ class TestParseGraphFile:
             parse_graph_file(graph_file("4 2\n0 1\n2 3\n"))
 
     @pytest.mark.parametrize("text, outcome", [
-        # The first block is plain; the next starts with a comment, so the
-        # line reader takes over at line 3.
+        # At 8 characters a block, the first block reads on to the end of
+        # the comment on line 3, so its lines are checked one by one; the
+        # next block starts at line 4.
         ("3 2\n0 1\n# c\n1 2\n", (3, ((0, 1), (1, 2)))),
         ("3 2\n0 1\n# c\n1 2\n2 0\n", "line 5: more than the declared 2 edges"),
         ("3 2\n0 1\n# c\n1 x\n", "line 4: expected two integers, got '1 x'"),
         ("3 2\n0 1\n# c\n", "line 4: declared 2 edges, found 1"),
-    ], ids=["edges", "extra-edge", "bad-token", "missing-edge"])
+        # The comment fills the first block alone, and the rest is plain.
+        ("# a comment\n3 2\n0 1\n1 2\n", (3, ((0, 1), (1, 2)))),
+    ], ids=["edges", "extra-edge", "bad-token", "missing-edge", "leading-comment"])
     def test_a_later_block_starting_with_a_comment(self, graph_file, text, outcome):
         path = graph_file(text)
         with mock.patch.object(cli, "_BLOCK", 8):
@@ -112,6 +115,16 @@ class TestParseGraphFile:
                 assert (g.n, g.edges) == outcome
             assert parse_outcome(parse_graph_file, path) == \
                 parse_outcome(reference_parse_graph_file, path)
+
+    def test_the_bulk_path_resumes_after_a_block_of_other_lines(self, graph_file):
+        # The comment's block is checked line by line; the plain block after
+        # it is converted in bulk, so no number goes through _decimal.
+        path = graph_file("# a comment\n3 2\n0 1\n1 2\n")
+        with mock.patch.object(cli, "_BLOCK", 8), \
+                mock.patch.object(cli, "_decimal", wraps=cli._decimal) as decimal:
+            assert parse_outcome(parse_graph_file, path) == \
+                parse_outcome(reference_parse_graph_file, path)
+        assert decimal.call_count == 0
 
     def test_too_few_edges_fail_before_building(self, graph_file, monkeypatch):
         import mixedmetric.cli as cli_mod
@@ -171,8 +184,9 @@ def parse_outcome(parse, path):
 
 
 def assert_parses_as_the_reference(tmp_path_factory, data, block):
-    # Reading plain lines in blocks of any size gives the same graph, or
-    # the same error class and message, as checking every line in full.
+    # Reading the file in blocks of any size, each converted in bulk or
+    # checked line by line, gives the same graph, or the same error class
+    # and message, as checking every line in full.
     target = tmp_path_factory.getbasetemp() / "fuzzed-graph.txt"
     target.write_bytes(data)
     with mock.patch.object(cli, "_BLOCK", block):
@@ -489,7 +503,7 @@ class TestExitCodes:
 
     def test_a_commented_file_declaring_more_edges_than_it_lists_is_one(self, graph_file, capsys):
         # The malformed file of the benchmark's CLI workload: a comment first,
-        # so the line reader reads every line.
+        # so its one block is checked line by line.
         path = graph_file("# declares more edges than it lists\n4 3\n0 1\n1 2\n")
         assert run(["dim", path]) == 1
         assert capsys.readouterr() == ("", "error: line 5: declared 3 edges, found 2\n")
@@ -701,6 +715,31 @@ class TestExitCodes:
                                   capture_output=True, text=True, env=ENV)
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+class TestPipedInput:
+    """Graph files read from a pipe, which cannot be sought."""
+
+    @staticmethod
+    def dim(path, data=None):
+        return subprocess.run([sys.executable, "-m", "mixedmetric", "dim", path],
+                              input=data, capture_output=True, env=ENV)
+
+    @pytest.mark.parametrize("data", [
+        BOWTIE.encode(),
+        b"# a bowtie\r\n" + BOWTIE.replace("\n", "\r\n").encode(),
+    ], ids=["plain", "commented-crlf"])
+    def test_a_pipe_gives_the_bytes_of_the_file(self, graph_file, data):
+        piped = self.dim("/dev/stdin", data)
+        from_file = self.dim(graph_file(BOWTIE))
+        assert from_file.returncode == 0 and from_file.stdout.startswith(b"l1 = 0\n")
+        assert (piped.returncode, piped.stdout, piped.stderr) == \
+            (from_file.returncode, from_file.stdout, from_file.stderr)
+
+    def test_a_piped_file_declaring_more_edges_than_it_lists_is_one(self):
+        proc = self.dim("/dev/stdin", b"# declares more edges than it lists\n4 3\n0 1\n1 2\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, b"", b"error: line 5: declared 3 edges, found 2\n")
 
 
 class TestDeterminism:
