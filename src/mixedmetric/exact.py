@@ -72,13 +72,17 @@ def mdim_exact(g: Graph) -> MdimReport:
         raise NotACactusError("exact formula applies to cacti only")
     l1 = d.stats.l1
     terms: list[CycleTerm] = []
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, once per cycle.
+    new = tuple.__new__
+    max_terms = delta = 0
     for i, (ring, roots) in enumerate(d.cycles):
         rt = len(roots)
-        terms.append(CycleTerm(i, rt, max(3 - rt, 0),
-                               rt >= 3 and not has_geodesic_triple(len(ring), roots)))
-    delta = sum(t.needs_delta for t in terms)
-    total = l1 + sum(t.max_term for t in terms) + delta
-    return MdimReport(l1=l1, per_cycle=tuple(terms), delta=delta, total=total)
+        max_term = 3 - rt if rt < 3 else 0
+        needs_delta = rt >= 3 and not has_geodesic_triple(len(ring), roots)
+        terms.append(new(CycleTerm, (i, rt, max_term, needs_delta)))
+        max_terms += max_term
+        delta += needs_delta
+    return MdimReport(l1=l1, per_cycle=tuple(terms), delta=delta, total=l1 + max_terms + delta)
 
 
 def build_min_generator(g: Graph) -> GeneratorCertificate:

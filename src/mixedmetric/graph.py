@@ -1,12 +1,24 @@
-"""Immutable simple graphs and their scalar invariants, in pure Python.
+"""Immutable simple graphs, their block search and scalar invariants, in pure Python.
 
 Vertices are the integers 0..n-1.  A Graph stores n, the edge count m
 and the sorted adjacency; its edges, canonical (min, max) pairs in sorted
 order, are derived from the adjacency when first read, since the path
 from a file to the structural formula never reads them.  Every analysis
 entry point in the package assumes the graph is connected, so
-connectedness is enforced at construction time, by the package's one
-reachability walk.  Distances live in the oracle (oracle._element_codes).
+connectedness is enforced at construction time.
+
+Construction runs the package's one depth-first search, the vertex-stack
+form of Hopcroft and Tarjan's block search (Tarjan 1972; Hopcroft and
+Tarjan 1973).  A block closes at a tree edge (u, v) and holds u, the
+vertices pushed on the stack from v on, and the back edges found since v
+was pushed.  With no back edge the block is a bridge; with one it is a
+cycle, and u followed by those vertices in push order walks its ring; with
+two or more it is neither.  Only the rings are kept, no edge or block, and
+a connected graph is a cactus exactly when their count is its cyclomatic
+number m - n + 1.  The search proves the graph connected when it reaches
+every vertex, and on a cactus it also proves that no edge is listed twice.
+The Graph keeps the rings until structure.decompose turns them into its
+decomposition.  Distances live in the oracle (oracle._element_codes).
 """
 
 from __future__ import annotations
@@ -34,12 +46,13 @@ class Graph:
 
     Immutable: assigning or deleting an attribute raises AttributeError.
     Equality, hashing and pickling read n and adjacency only, never the
-    two memos filled on first read: _edges, the edges derived from the
-    adjacency, and _decomposition, the block structure structure.decompose
-    keeps.
+    three memos: _edges, the edges derived from the adjacency on first
+    read; _rings, the rings of build_graph's block search, which
+    structure.decompose consumes and clears; and _decomposition, the block
+    structure structure.decompose keeps.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_edges", "_decomposition", "__weakref__")
+    __slots__ = ("n", "m", "adjacency", "_edges", "_rings", "_decomposition", "__weakref__")
     __match_args__ = ("n", "edges", "adjacency")
 
     n: int
@@ -52,6 +65,7 @@ class Graph:
         set_field(self, "m", sum(map(len, adjacency)) // 2)
         set_field(self, "adjacency", adjacency)
         set_field(self, "_edges", None)
+        set_field(self, "_rings", None)
         set_field(self, "_decomposition", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -89,7 +103,7 @@ class Graph:
     def __reduce__(self):
         # The default protocol restores the slots through setattr, which a
         # Graph refuses.  A copy derives its own edges and block structure
-        # on demand.
+        # on demand, searching for its blocks on its first decompose.
         return (Graph, (self.n, self.adjacency))
 
     def degree(self, v: int) -> int:
@@ -111,11 +125,11 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Validate an edge list and return the canonical connected Graph.
 
     Raises TooSmallError, VertexOutOfRangeError, SelfLoopError,
-    DuplicateEdgeError, or DisconnectedError on bad input.  A duplicate
-    edge is found as a neighbour listed twice in the adjacency.  Any
-    error names the first bad edge in input order, as a scan that checks
-    each edge in turn would, and a disconnected graph is reported only
-    when every edge is valid.
+    DuplicateEdgeError, or DisconnectedError on bad input.  Any error
+    names the first bad edge in input order, as a scan that checks each
+    edge in turn would, and a disconnected graph is reported only when
+    every edge is valid.  The block search runs here, once, and the Graph
+    keeps its result for structure.decompose.
     """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
@@ -137,32 +151,104 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             neighbors[u].append(ids[v])
             neighbors[v].append(ids[u])
         else:
-            # Each list gives way to its tuple, so the two never all coexist.
-            for i, a in enumerate(neighbors):
-                a.sort()
-                neighbors[i] = tuple(a)
-            adjacency = tuple(neighbors)
-            # An edge listed twice puts each endpoint twice in the other's list.
-            valid = sum(map(len, map(set, adjacency))) == 2 * len(edge_list)
+            valid = True
     except (TypeError, ValueError):
         pass  # a malformed pair or id; the scan below names the first
     if not valid:
         _raise_first_bad_edge(n, edge_list, ids)
+    # Each list gives way to its tuple, so the two never all coexist.
+    for i, a in enumerate(neighbors):
+        a.sort()
+        neighbors[i] = tuple(a)
+    adjacency = tuple(neighbors)
 
-    # A depth-first walk from vertex 0; index(False) names the smallest
-    # vertex it misses.
-    seen = [False] * n
-    seen[0] = True
+    rings, missing = _block_search(adjacency)
+    # Past the n - 1 tree edges of a search that reaches every vertex, each
+    # listed edge is a back edge or a repeated tree edge, which the search
+    # cannot see; a repeated back edge is met twice in one block.  A ring
+    # is a block with one back edge, so m - n + 1 rings leave room for no
+    # repeat, and only other graphs need the test that finds a neighbour
+    # listed twice.
+    if missing >= 0 or len(rings) != len(edge_list) - n + 1:
+        if sum(map(len, map(set, adjacency))) != 2 * len(edge_list):
+            _raise_first_bad_edge(n, edge_list, ids)
+        if missing >= 0:
+            raise DisconnectedError(f"vertex {missing} not reachable from vertex 0")
+    g = Graph(n, adjacency)
+    # Graph refuses assignment; its _rings slot is written past that
+    # guard here, and cleared by structure.decompose.
+    object.__setattr__(g, "_rings", rings)
+    return g
+
+
+def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[int, ...]], int]:
+    """The rings of the cycle blocks the search from vertex 0 meets, and the
+    smallest vertex it misses (-1 when it reaches them all).
+
+    Each ring starts at its lowest vertex and turns toward the smaller of
+    that vertex's ring neighbours (structure.CycleInfo).  The search's
+    per-vertex lists and discovery times are freed on return.
+    """
+    # Iterative Hopcroft-Tarjan from vertex 0.  Each frame of the DFS path
+    # holds a vertex, its parent (-1 at the root), the iterator over its
+    # neighbours, resumed where the scan left off, the index at which the
+    # vertex went on the vertex stack, and the count of back edges pending
+    # at that push.
+    n = len(adjacency)
+    disc = [-1] * n
+    low = [0] * n
     stack = [0]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if not all(seen):
-        raise DisconnectedError(f"vertex {seen.index(False)} not reachable from vertex 0")
-    # The edges are derived from the adjacency when first read.
-    return Graph(n, adjacency)
+    pending = 0
+    rings = []
+    disc[0] = low[0] = 0
+    timer = 1
+    leaves = 0
+    path = [(0, -1, iter(adjacency[0]), 0, 0)]
+    while path:
+        v, u, neighbors, i, owed = path[-1]
+        # Scan v's neighbours until a tree edge leads down; the loop makes
+        # no call per neighbour, and the for-else runs once v is finished.
+        for w in neighbors:
+            if disc[w] < 0:
+                if len(adjacency[w]) == 1:
+                    # A leaf: its edge is a bridge, and no other vertex
+                    # meets it, so it needs no frame and no push, only a
+                    # mark that it was reached.
+                    disc[w] = 0
+                    leaves += 1
+                    continue
+                disc[w] = low[w] = timer
+                timer += 1
+                path.append((w, v, iter(adjacency[w]), len(stack), pending))
+                stack.append(w)
+                break
+            if disc[w] < disc[v] and w != u:
+                # A back edge.  At the root (disc 0) the first test fails.
+                pending += 1
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+        else:
+            path.pop()
+            if path:
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    # The block of tree edge (u, v): u and the vertices
+                    # pushed from v on, with the back edges found since.
+                    if pending - owed == 1:
+                        # A cycle, walked from u down its tree path.  Start
+                        # at its lowest vertex, then turn toward the smaller
+                        # of that vertex's ring neighbours.
+                        ring = [u, *stack[i:]]
+                        k = ring.index(min(ring))
+                        ring = ring[k:] + ring[:k]
+                        if ring[-1] < ring[1]:
+                            ring[1:] = ring[:0:-1]
+                        rings.append(tuple(ring))
+                    del stack[i:]
+                    pending = owed
+    # Each vertex reached is a frame's (timer counts them) or a leaf's.
+    return rings, -1 if timer + leaves == n else disc.index(-1)
 
 
 def _raise_first_bad_edge(n: int, edge_list: Iterable[Sequence[int]], ids: list[int]) -> None:

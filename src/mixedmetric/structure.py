@@ -1,16 +1,10 @@
 """Cactus recognition and per-cycle combinatorial structure.
 
 A cactus is a connected graph whose blocks are single edges or cycles.
-decompose finds the blocks with one depth-first search per graph, in the
-vertex-stack form of Hopcroft and Tarjan's search (Tarjan 1972; Hopcroft
-and Tarjan 1973).  A block closes at a tree edge (u, v) and holds u, the
-vertices pushed on the stack from v on, and the back edges found since v
-was pushed.  With no back edge the block is a bridge; with one it is a
-cycle, and u followed by those vertices in push order walks its ring; with
-two or more it is neither, and the graph is no cactus.  No edge or block is
-stored.  decompose keeps what every consumer reads: the structural class,
-the leaf statistics and the cycles, each cycle oriented into a
-deterministic ring with its root positions marked.
+build_graph runs the package's one block search (graph._block_search) and
+the Graph keeps its rings; decompose turns them into what every consumer
+reads: the structural class, the leaf statistics and the cycles, each
+cycle a deterministic ring with its root positions marked.
 
 The module also decides geodesic-triple questions on a ring.  Three ring
 positions form a geodesic triple exactly when the three arcs they cut have
@@ -28,7 +22,7 @@ import enum
 from itertools import compress, count
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, GraphStats, graph_stats
+from .graph import Graph, GraphStats, _block_search, graph_stats
 
 
 class GraphClassTag(enum.Enum):
@@ -79,10 +73,10 @@ class Decomposition(NamedTuple):
 
 
 def decompose(g: Graph) -> Decomposition:
-    """The block structure of g, found on the first call and kept on g.
+    """The block structure of g, built on the first call and kept on g.
 
-    One depth-first search from vertex 0 finds every block; a cycle's ring
-    is read off its vertex stack, and a leaf gets no frame on its path.
+    The first call reads the rings build_graph's block search left on g
+    and clears them, or runs that search on a Graph made directly.
 
     A Graph is immutable, so later calls on the same object return the
     stored result.  Two threads racing on a fresh graph both compute an
@@ -92,16 +86,22 @@ def decompose(g: Graph) -> Decomposition:
     if d is None:
         d = _decompose(g)
         # Graph refuses assignment; its _decomposition slot is written
-        # past that guard, here only.
+        # past that guard, here only, and the search result it was built
+        # from is dropped.
         object.__setattr__(g, "_decomposition", d)
+        object.__setattr__(g, "_rings", None)
     return d
 
 
 def _decompose(g: Graph) -> Decomposition:
-    rings, general = _block_search(g)
+    rings = g._rings
+    if rings is None:
+        # A Graph made directly, such as an unpickled copy, has not searched.
+        rings, _ = _block_search(g.adjacency)
     stats = graph_stats(g)
     c = len(rings)
-    if general:
+    if c != stats.cyclomatic:
+        # Some block has two or more back edges: neither bridge nor cycle.
         return Decomposition(GraphClass(GraphClassTag.GENERAL, c), stats, None)
     if c == 0:
         tag = GraphClassTag.TREE
@@ -111,80 +111,13 @@ def _decompose(g: Graph) -> Decomposition:
     else:
         tag = GraphClassTag.CACTUS
     is_root = [len(a) >= 3 for a in g.adjacency]
-    rings.sort()
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, once per cycle.
+    new = tuple.__new__
     cycles = tuple(
-        CycleInfo(ring, frozenset(compress(count(), map(is_root.__getitem__, ring))))
-        for ring in rings
+        new(CycleInfo, (ring, frozenset(compress(count(), map(is_root.__getitem__, ring)))))
+        for ring in sorted(rings)
     )
     return Decomposition(GraphClass(tag, c), stats, cycles)
-
-
-def _block_search(g: Graph) -> tuple[list[tuple[int, ...]], bool]:
-    """The rings of g's cycle blocks, and whether a block is neither cycle nor bridge.
-
-    Each ring is oriented as CycleInfo documents.  The search's per-vertex
-    lists and discovery times are freed on return, before the caller
-    builds the cycles.
-    """
-    # Iterative Hopcroft-Tarjan from vertex 0; the graph is connected, so
-    # one root suffices.  Each frame of the DFS path holds a vertex, its
-    # parent (-1 at the root), the iterator over its neighbours, resumed
-    # where the scan left off, the index at which the vertex went on the
-    # vertex stack, and the count of back edges pending at that push.
-    adjacency = g.adjacency
-    disc = [-1] * g.n
-    low = [0] * g.n
-    stack = [0]
-    pending = 0
-    general = False
-    rings = []
-    disc[0] = low[0] = 0
-    timer = 1
-    path = [(0, -1, iter(adjacency[0]), 0, 0)]
-    while path:
-        v, u, neighbors, i, owed = path[-1]
-        # Scan v's neighbours until a tree edge leads down; the loop makes
-        # no call per neighbour, and the for-else runs once v is finished.
-        for w in neighbors:
-            if disc[w] < 0:
-                if len(adjacency[w]) == 1:
-                    # A leaf: its edge is a bridge, and no other vertex
-                    # meets it, so it needs no frame, no disc and no push.
-                    continue
-                disc[w] = low[w] = timer
-                timer += 1
-                path.append((w, v, iter(adjacency[w]), len(stack), pending))
-                stack.append(w)
-                break
-            if disc[w] < disc[v] and w != u:
-                # A back edge.  At the root (disc 0) the first test fails.
-                pending += 1
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            path.pop()
-            if path:
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # The block of tree edge (u, v): u and the vertices
-                    # pushed from v on, with the back edges found since.
-                    back = pending - owed
-                    if back == 1:
-                        # A cycle, walked from u down its tree path.  Start
-                        # at its lowest vertex, then turn toward the smaller
-                        # of that vertex's ring neighbours.
-                        ring = [u, *stack[i:]]
-                        k = ring.index(min(ring))
-                        ring = ring[k:] + ring[:k]
-                        if ring[-1] < ring[1]:
-                            ring[1:] = ring[:0:-1]
-                        rings.append(tuple(ring))
-                    elif back:
-                        general = True
-                    del stack[i:]
-                    pending = owed
-    return rings, general
 
 
 def classify(g: Graph) -> GraphClass:

@@ -13,7 +13,10 @@ parser checks every line in full, where the package builds the completion
 from the gaps and reads a file's leading plain lines in blocks.  The block
 search keeps every block as the list of its edges, and the decomposition
 tells a cycle from the block's edges, where the package's search keeps a
-stack of vertices and counts each block's back edges.
+stack of vertices and counts each block's back edges.  build_graph's
+errors are found by checking each edge in turn and then connectivity with
+networkx, where the package lets its block search rule out a repeated edge
+and an unreached vertex at once.
 """
 
 import random
@@ -26,11 +29,14 @@ from mixedmetric import (
     CycleInfo,
     Decomposition,
     DisconnectedError,
+    DuplicateEdgeError,
     FailingPair,
     GraphClass,
     GraphClassTag,
     ParseError,
     SearchResult,
+    SelfLoopError,
+    VertexOutOfRangeError,
     build_graph,
     graph_stats,
     has_geodesic_triple,
@@ -159,6 +165,32 @@ def reference_parse_graph_file(path):
     if m < n - 1:
         raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
     return build_graph(n, edges)
+
+
+def reference_build_graph_error(n, edge_list):
+    """The error build_graph raises on an edge list of n >= 2 vertices, or None.
+
+    Each edge is checked in input order, its range, then a self-loop, then
+    a repeat of an earlier edge; only a list with no bad edge is checked
+    for connectivity, which networkx decides.  The error is returned as
+    its type and message.
+    """
+    seen = set()
+    for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            return VertexOutOfRangeError, f"edge ({u}, {v}) outside [0, {n})"
+        if u == v:
+            return SelfLoopError, f"self-loop at vertex {u}"
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return DuplicateEdgeError, f"edge {e} listed twice"
+        seen.add(e)
+    h = nx.Graph(seen)
+    h.add_nodes_from(range(n))
+    missed = sorted(set(range(n)) - nx.node_connected_component(h, 0))
+    if missed:
+        return DisconnectedError, f"vertex {missed[0]} not reachable from vertex 0"
+    return None
 
 
 def reference_blocks(g):

@@ -244,11 +244,14 @@ class TestVerbs:
         assert payload["source"] == "oracle"
 
     def test_dim_force_oracle_finds_the_blocks_once(self, graph_file, capsys, monkeypatch):
+        import mixedmetric.graph as graph_mod
         import mixedmetric.structure as structure_mod
 
+        # One search, in build_graph; the formula and the oracle reuse it.
         calls = []
-        real = structure_mod._block_search
-        monkeypatch.setattr(structure_mod, "_block_search", lambda g: calls.append(g) or real(g))
+        real = graph_mod._block_search
+        for module in (graph_mod, structure_mod):
+            monkeypatch.setattr(module, "_block_search", lambda a: calls.append(a) or real(a))
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 0
         assert len(calls) == 1
 

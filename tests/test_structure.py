@@ -34,6 +34,7 @@ from mixedmetric import (
     random_connected_graph,
     structure,
 )
+from mixedmetric import graph as graph_module
 
 from graphs import bowtie, complete, cycle, path, tadpole
 from reference import reference_augment_for_triple, reference_blocks, reference_decompose
@@ -301,6 +302,21 @@ class TestExtractCycles:
                 assert (pos in c.root_positions) == (comp.count(comp[v]) >= 2)
 
 
+def count_block_searches(monkeypatch):
+    """The graphs' adjacencies each block search runs on, from now on."""
+    calls = []
+    real = graph_module._block_search
+
+    def counted(adjacency):
+        calls.append(adjacency)
+        return real(adjacency)
+
+    # build_graph and decompose each name the search in their own module.
+    for module in (graph_module, structure):
+        monkeypatch.setattr(module, "_block_search", counted)
+    return calls
+
+
 @pytest.mark.parametrize("call, graph", [
     (decompose, "cactus"), (classify, "cactus"), (classify, "general"),
     (mdim_exact, "cactus"), (bound_report, "cactus"), (build_min_generator, "cactus"),
@@ -309,21 +325,24 @@ class TestExtractCycles:
 def test_each_public_call_finds_the_blocks_once(monkeypatch, call, graph):
     g = {"cactus": random_cactus(CactusSpec(3, (3, 6), 3, seed=7)),
          "general": complete(5)}[graph]
-    # random_cactus classifies its graph, which keeps the blocks on it.
+    calls = count_block_searches(monkeypatch)
+    # build_graph searches once, and no public call after it searches again.
     g = build_graph(g.n, g.edges)
-    calls = []
-    real = structure._block_search
-    monkeypatch.setattr(structure, "_block_search", lambda g: calls.append(g) or real(g))
+    assert len(calls) == 1
     call(g)
     assert len(calls) == 1
+    # An unpickled copy never ran build_graph: its first decompose searches.
+    h = pickle.loads(pickle.dumps(g))
+    call(h)
+    call(h)
+    assert len(calls) == 2
+    assert calls[1] == calls[0]
 
 
 def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
     g = random_cactus(CactusSpec(3, (3, 6), 3, seed=7))
+    calls = count_block_searches(monkeypatch)
     g = build_graph(g.n, g.edges)
-    calls = []
-    real = structure._block_search
-    monkeypatch.setattr(structure, "_block_search", lambda g: calls.append(g) or real(g))
     for call in (classify, decompose, mdim_exact, bound_report, build_min_generator,
                  evaluate_conjecture):
         call(g)
@@ -332,16 +351,22 @@ def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
 
 def test_a_decomposed_graph_is_freed_without_the_cyclic_gc():
     # Nothing a graph keeps may refer back to it, or every dropped graph
-    # would wait for the cyclic GC and hold its memory until then.
-    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+    # would wait for the cyclic GC and hold its memory until then: neither
+    # the search result build_graph leaves on it, nor the decomposition
+    # that replaces it.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for call in (mdim_exact, bound_report, build_min_generator, evaluate_conjecture):
-            call(g)
-        ref = weakref.ref(g)
-        del g
-        assert ref() is None
+        for calls in ((), (mdim_exact, bound_report, build_min_generator, evaluate_conjecture)):
+            g = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+            assert g._rings is not None
+            for call in calls:
+                call(g)
+            # Once decomposed, a graph keeps no raw search result.
+            assert (g._rings is None) == bool(calls)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
     finally:
         if enabled:
             gc.enable()
