@@ -13,10 +13,18 @@ Tarjan 1973).  A block closes at a tree edge (u, v) and holds u, the
 vertices pushed on the stack from v on, and the back edges found since v
 was pushed.  With no back edge the block is a bridge; with one it is a
 cycle, and u followed by those vertices in push order walks its ring; with
-two or more it is neither.  Only the rings are kept, no edge or block, and
-a connected graph is a cactus exactly when their count is its cyclomatic
-number m - n + 1.  The search proves the graph connected when it reaches
-every vertex, and on a cactus it also proves that no edge is listed twice.
+two or more it is neither.  Only the root and the vertices of degree 3 or
+more get a frame on the search's path.  A leaf is only marked reached, and
+a run of degree-2 vertices is walked in place, each vertex pushed and left
+by the edge it did not come in on.  No other edge meets a run, so it
+closes by how it ends: at a leaf or at a repeated edge its edges are
+bridges, at a back edge to the vertex it left it is a ring, at a back
+edge above that vertex it waits on the stack for a higher block, and at a
+vertex of degree 3 or more one frame stands for the whole run.  Only the
+rings are kept, no edge or block, and a connected graph is a cactus
+exactly when their count is its cyclomatic number m - n + 1.  The search
+proves the graph connected when it reaches every vertex, and on a cactus
+it also proves that no edge is listed twice.
 The Graph keeps the rings until structure.decompose turns them into its
 decomposition.  Distances live in the oracle (oracle._element_codes).
 """
@@ -193,7 +201,9 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
     # holds a vertex, its parent (-1 at the root), the iterator over its
     # neighbours, resumed where the scan left off, the index at which the
     # vertex went on the vertex stack, and the count of back edges pending
-    # at that push.
+    # at that push.  Only the root and vertices of degree 3 or more get a
+    # frame of their own: a leaf needs none, and a run of degree-2 vertices
+    # is walked inline, with at most one frame for the whole run.
     n = len(adjacency)
     disc = [-1] * n
     low = [0] * n
@@ -203,6 +213,7 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
     disc[0] = low[0] = 0
     timer = 1
     leaves = 0
+    done = iter(())
     path = [(0, -1, iter(adjacency[0]), 0, 0)]
     while path:
         v, u, neighbors, i, owed = path[-1]
@@ -210,12 +221,64 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
         # no call per neighbour, and the for-else runs once v is finished.
         for w in neighbors:
             if disc[w] < 0:
-                if len(adjacency[w]) == 1:
+                degree = len(adjacency[w])
+                if degree == 1:
                     # A leaf: its edge is a bridge, and no other vertex
                     # meets it, so it needs no frame and no push, only a
                     # mark that it was reached.
                     disc[w] = 0
                     leaves += 1
+                    continue
+                if degree == 2:
+                    # A run of degree-2 vertices from w: each has one way
+                    # on, so the walk pushes it and steps to the neighbour
+                    # it did not come from, x's other neighbour y.  No edge
+                    # but the run's own meets a run vertex, so the run is
+                    # closed by how it ends.
+                    top = len(stack)
+                    x, back = w, v
+                    while True:
+                        disc[x] = timer
+                        timer += 1
+                        stack.append(x)
+                        p, q = adjacency[x]
+                        y = q if p == back else p
+                        if disc[y] < 0 and len(adjacency[y]) == 2:
+                            x, back = y, x
+                        else:
+                            break
+                    if disc[y] < 0:
+                        if len(adjacency[y]) == 1:
+                            # At a leaf: the run's edges and the edge into
+                            # it are bridges.
+                            disc[y] = 0
+                            leaves += 1
+                            del stack[top:]
+                            continue
+                        # At a vertex of degree 3 or more: one frame stands
+                        # for the whole run, its last vertex under v with
+                        # nothing left to scan, and y's frame goes above it.
+                        low[x] = disc[x]
+                        path.append((x, v, done, top, pending))
+                        disc[y] = low[y] = timer
+                        timer += 1
+                        path.append((y, x, iter(adjacency[y]), len(stack), pending))
+                        stack.append(y)
+                        break
+                    if y == back:
+                        # At a repeated edge, both of x's entries: x has
+                        # no way on, and the run ends as at a leaf.
+                        del stack[top:]
+                    elif y == v:
+                        # At a back edge to v: v and the run are a ring.
+                        rings.append(_ring(v, stack[top:]))
+                        del stack[top:]
+                    else:
+                        # At a back edge above v: the run stays on the
+                        # stack for the block that closes higher up.
+                        pending += 1
+                        if disc[y] < low[v]:
+                            low[v] = disc[y]
                     continue
                 disc[w] = low[w] = timer
                 timer += 1
@@ -236,19 +299,26 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
                     # The block of tree edge (u, v): u and the vertices
                     # pushed from v on, with the back edges found since.
                     if pending - owed == 1:
-                        # A cycle, walked from u down its tree path.  Start
-                        # at its lowest vertex, then turn toward the smaller
-                        # of that vertex's ring neighbours.
-                        ring = [u, *stack[i:]]
-                        k = ring.index(min(ring))
-                        ring = ring[k:] + ring[:k]
-                        if ring[-1] < ring[1]:
-                            ring[1:] = ring[:0:-1]
-                        rings.append(tuple(ring))
+                        rings.append(_ring(u, stack[i:]))
                     del stack[i:]
                     pending = owed
-    # Each vertex reached is a frame's (timer counts them) or a leaf's.
+    # Each vertex reached is a walked vertex's or a frame's (timer counts
+    # them) or a leaf's.
     return rings, -1 if timer + leaves == n else disc.index(-1)
+
+
+def _ring(u: int, tail: list[int]) -> tuple[int, ...]:
+    """The cycle u, *tail, walked from u down its tree path, as a ring that
+    starts at its lowest vertex and turns toward the smaller of that
+    vertex's ring neighbours."""
+    ring = [u, *tail]
+    least = min(tail)
+    if least < u:
+        k = ring.index(least)
+        ring = ring[k:] + ring[:k]
+    if ring[-1] < ring[1]:
+        ring[1:] = ring[:0:-1]
+    return tuple(ring)
 
 
 def _raise_first_bad_edge(n: int, edge_list: Iterable[Sequence[int]], ids: list[int]) -> None:

@@ -180,6 +180,27 @@ def test_build_graph_errors_match_the_edge_by_edge_reference(case):
             assert (type(caught.value), str(caught.value)) == want
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    # Vertex 2's two entries are the one edge (1, 2).
+    (3, [(0, 1), (1, 2), (2, 1)], "edge (1, 2) listed twice"),
+    # A ring of two: the edge (0, 1), listed twice, is each vertex's two entries.
+    (2, [(0, 1), (1, 0)], "edge (0, 1) listed twice"),
+    # The ring 0 1 2 3 with its closing edge (3, 0) listed twice.
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 3)], "edge (0, 3) listed twice"),
+    # A pendant path 2 3 4 5 off the triangle 0 1 2, ending in (4, 5) twice.
+    (6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 4)], "edge (4, 5) listed twice"),
+], ids=["path", "two-ring", "ring-closing-edge", "pendant-path"])
+def test_a_repeat_on_a_run_of_degree_2_vertices_is_reported(n, edges, message):
+    # The search walks each run of degree-2 vertices without a frame.  A
+    # run vertex whose two entries are one edge is a dead end, not a back
+    # edge closing a ring of two, and a back edge met twice makes a block
+    # that is no ring, so the ring count leaves each repeat to the set test.
+    assert reference_build_graph_error(n, edges) == (DuplicateEdgeError, message)
+    with pytest.raises(DuplicateEdgeError) as caught:
+        build_graph(n, edges)
+    assert str(caught.value) == message
+
+
 class TestGraphRecord:
     """A Graph is an immutable value of n and adjacency; its three memos are not part of it."""
 

@@ -198,16 +198,36 @@ def test_blocks_when_the_root_is_a_leaf(n, edges, blocks):
 def decomposable_graphs(draw):
     """A general graph, cactus, tree, bare ring or edge, relabelled at random.
 
-    Half the graphs with a leaf get one as vertex 0, where the search starts.
+    Two kinds grow runs of degree-2 vertices, which the search walks
+    without a frame: a general graph with each edge subdivided into a path
+    of 0-3 inner vertices, and a cactus with long pendant paths.  Half the
+    graphs with a leaf get one as vertex 0, where the search starts.
     """
     n = draw(st.integers(3, 30))
     seed = draw(st.integers(0, 10**6))
-    kind = draw(st.sampled_from(["general", "cactus", "tree", "ring", "edge"]))
-    if kind == "general":
+    kind = draw(st.sampled_from(
+        ["general", "subdivided", "cactus", "pendant-paths", "tree", "ring", "edge"]))
+    if kind in ("general", "subdivided"):
         extra = draw(st.integers(0, 2 * n))
         g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed)
+        if kind == "subdivided":
+            inner = draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
+            edges, k = [], g.n
+            for (u, v), length in zip(g.edges, inner):
+                walk = [u, *range(k, k + length), v]
+                edges += zip(walk, walk[1:])
+                k += length
+            g = build_graph(k, edges)
     elif kind == "cactus":
         g = draw(random_cacti)
+    elif kind == "pendant-paths":
+        g = draw(random_cacti)
+        edges, k = list(g.edges), g.n
+        for length in draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)):
+            walk = [draw(st.integers(0, k - 1)), *range(k, k + length)]
+            edges += zip(walk, walk[1:])
+            k += length
+        g = build_graph(k, edges)
     elif kind == "tree":
         g = random_connected_graph(n, n - 1, seed)
     elif kind == "ring":
