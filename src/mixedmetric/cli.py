@@ -2,12 +2,12 @@
 
 Graphs come from edge-list text files: optional '#' comment lines, a
 header line 'n m', then m lines 'u v' with 0-indexed endpoints.  The
-file is read in blocks that end at line ends: the plain lines a block
-starts with, two digit runs and one space each, are converted in bulk,
-and the rest of the block is checked line by line.  Exit codes: 0
-success, 1 usage or parse error, 2 structural precondition failure (not a
-cactus, too large, disconnected, ...), 3 internal invariant breach
-(formula disagreeing with the oracle; never expected).
+file is read in blocks that end at line ends: a block of plain lines, two
+digit runs and one space each, is converted in bulk, and any other block
+is checked line by line in full.  Exit codes: 0 success, 1 usage or parse
+error, 2 structural precondition failure (not a cactus, too large,
+disconnected, ...), 3 internal invariant breach (formula disagreeing with
+the oracle; never expected).
 
 Each verb imports the modules it runs once its input is read, so a call
 loads only those and a malformed file loads none of them.
@@ -73,39 +73,31 @@ def parse_graph_file(path: str) -> Graph:
     """Read the edge-list format strictly; errors carry line numbers.
 
     The file is read _BLOCK characters at a time and then on to the line
-    end, so no line spans two blocks.  The plain lines a block starts with
-    are converted in bulk, unless they hold an edge past the header's count
-    or a number int() refuses, and the rest of the block is checked line by
-    line: comments, blank lines, other spellings and separators, a missing
-    final newline, and each error with its line number.  A block whose
-    plain lines were refused is checked line by line in full, so the error
-    names the line a check of every line would.  The file is never
-    sought, so a pipe reads as a file does.  The header and the endpoints
-    go to one flat list of ints, two per line, and build_graph reads the
-    edges through a view of it (_Pairs), so no tuple is made per edge.
+    end, so no line spans two blocks.  A block of plain lines that holds
+    no edge past the header's count is converted in bulk.  Any other block
+    is checked line by line in full: comments, blank lines, other
+    spellings and separators, a missing final newline, and each error with
+    its line number.  The file is never sought, so a pipe reads as a file
+    does.  The header and the endpoints go to one flat list of ints, two
+    per line, and build_graph reads the edges through a view of it
+    (_Pairs), so no tuple is made per edge.
     """
     flat: list[int] = []
     lineno = 0
     # Undecodable bytes become lone surrogates, so the line they sit on is known.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         while block := fh.read(_BLOCK) + fh.readline():
-            # The block's leading plain lines go in bulk, and only the rest
-            # of it is checked line by line.
-            plain = _PLAIN_LINES.match(block).end()
-            if plain:
+            if _PLAIN_LINES.fullmatch(block):
                 taken = len(flat)
                 try:
-                    flat += map(int, block[:plain].split())
+                    flat += map(int, block.split())
                 except ValueError:
-                    plain = 0  # a run past int()'s digit limit: the line checks name its line
+                    pass  # a run past int()'s digit limit: the line checks name its line
                 else:
-                    if len(flat) > 2 * flat[1] + 2:
-                        plain = 0  # an edge past the header's count: so do they
-                if plain:
-                    lineno += (len(flat) - taken) // 2
-                    block = block[plain:]
-                else:
-                    del flat[taken:]
+                    if len(flat) <= 2 * flat[1] + 2:
+                        lineno += (len(flat) - taken) // 2
+                        continue
+                del flat[taken:]
             # StringIO ends lines at '\n' only, as the file object does.
             for lineno, raw in enumerate(io.StringIO(block), start=lineno + 1):
                 if not raw.isascii():

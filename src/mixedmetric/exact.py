@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import CycleExcludedError, InvariantError, NotACactusError
 from .graph import Graph
-from .structure import GraphClassTag, _triple, augment_for_triple, decompose
+from .structure import GraphClassTag, augment_for_triple, decompose, has_geodesic_triple
 
 
 class CycleTerm(NamedTuple):
@@ -78,7 +78,7 @@ def mdim_exact(g: Graph) -> MdimReport:
     for i, (ring, roots) in enumerate(d.cycles):
         rt = len(roots)
         max_term = 3 - rt if rt < 3 else 0
-        needs_delta = rt >= 3 and not _triple(len(ring), sorted(roots))
+        needs_delta = rt >= 3 and not has_geodesic_triple(len(ring), roots)
         terms.append(new(CycleTerm, (i, rt, max_term, needs_delta)))
         max_terms += max_term
         delta += needs_delta

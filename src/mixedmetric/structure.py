@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from itertools import compress, count
-from operator import sub
 from typing import Iterable, NamedTuple
 
 from .graph import Graph, GraphStats, _block_search, graph_stats
@@ -138,17 +137,11 @@ def has_geodesic_triple(length: int, marked: Iterable[int]) -> bool:
     points = sorted(set(marked))
     if points and not 0 <= points[0] <= points[-1] < length:
         raise ValueError(f"marks must lie in [0, {length})")
-    return _triple(length, points)
-
-
-def _triple(length: int, points: list[int]) -> bool:
-    """has_geodesic_triple on distinct, sorted marks that lie on the ring,
-    which it does not check."""
     if len(points) < 3:
         return False
     half = length // 2
     return (points[0] + length - points[-1] <= half
-            and max(map(sub, points[1:], points)) <= half)
+            and all(b - a <= half for a, b in zip(points, points[1:])))
 
 
 def augment_for_triple(length: int, marked: Iterable[int]) -> frozenset[int]:

@@ -126,44 +126,6 @@ class TestParseGraphFile:
                 parse_outcome(reference_parse_graph_file, path)
         assert decimal.call_count == 0
 
-    @pytest.mark.parametrize("text, block, outcome", [
-        # At 8 characters a block, the first block is the header, the
-        # comment and the edge (0, 1): only the header goes in bulk.
-        ("3 2\n# c\n0 1\n1 2\n", 8, (3, ((0, 1), (1, 2)))),
-        ("2 0\n# c\n0 1\n", 8, "line 3: more than the declared 0 edges"),
-        ("3 2\n# c\n0 x\n1 2\n", 8, "line 3: expected two integers, got '0 x'"),
-        ("3 2\n# c\n0 1\n", 8, "line 4: declared 2 edges, found 1"),
-        ("3 2\n\n0 1\n1 2\n", 8, (3, ((0, 1), (1, 2)))),
-        # The plain lines before the comment already pass the declared
-        # count: the whole block is checked line by line.
-        ("2 0\n0 1\n# c\n", 8, "line 2: more than the declared 0 edges"),
-        # A number past int()'s digit limit before the comment: so is this one.
-        ("3 2\n1 " + "1" * 5000 + "\n# c\n0 1\n", 6000, "line 2: expected two integers, got"),
-    ], ids=["edges", "extra-edge", "bad-token", "missing-edge", "blank-line", "plain-extra-edge",
-            "plain-digit-limit"])
-    def test_a_comment_inside_a_block(self, graph_file, text, block, outcome):
-        path = graph_file(text)
-        with mock.patch.object(cli, "_BLOCK", block):
-            if isinstance(outcome, str):
-                with pytest.raises(ParseError, match=re.escape(outcome)):
-                    parse_graph_file(path)
-            else:
-                g = parse_graph_file(path)
-                assert (g.n, g.edges) == outcome
-            assert parse_outcome(parse_graph_file, path) == \
-                parse_outcome(reference_parse_graph_file, path)
-
-    def test_only_the_lines_from_a_blocks_first_comment_on_are_checked_one_by_one(self, graph_file):
-        # The first block holds the header, a comment and the edge (0, 1),
-        # the second the edge (1, 2): only the comment's line and the
-        # edge after it go through the line checks.
-        path = graph_file("3 2\n# c\n0 1\n1 2\n")
-        with mock.patch.object(cli, "_BLOCK", 8), \
-                mock.patch.object(cli, "_decimal", wraps=cli._decimal) as decimal:
-            assert parse_outcome(parse_graph_file, path) == \
-                parse_outcome(reference_parse_graph_file, path)
-        assert decimal.call_args_list == [mock.call("0"), mock.call("1")]
-
     def test_too_few_edges_fail_before_building(self, graph_file, monkeypatch):
         import mixedmetric.cli as cli_mod
 
