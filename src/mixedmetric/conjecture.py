@@ -301,13 +301,14 @@ def _read_campaign(path: Path, config: CampaignConfig) -> list[ConjectureRecord]
                 # A line without its newline was cut short mid-write.
                 if not raw.endswith(b"\n"):
                     raise ValueError("no line end")
-                # UnicodeDecodeError is a ValueError too.
+                # UnicodeDecodeError is a ValueError too, and deeply nested
+                # JSON ends in a RecursionError.
                 record = ConjectureRecord(**json.loads(raw.decode("utf-8")))
                 # mdim is the one field taken from the file: from 4.0 or
                 # true, _record would build a line with 4.0 or true in it.
                 if type(record.mdim) is not int:
                     raise TypeError("mdim is not an integer")
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, RecursionError):
                 raise CampaignFileError(
                     f"{path}: line {lineno} is not a complete campaign record"
                 ) from None

@@ -14,19 +14,21 @@ vertices pushed on the stack from v on, and the back edges found since v
 was pushed.  With no back edge the block is a bridge; with one it is a
 cycle, and u followed by those vertices in push order walks its ring; with
 two or more it is neither.  Only the root and the vertices of degree 3 or
-more get a frame on the search's path.  A leaf is only marked reached, and
-a run of degree-2 vertices is walked in place, each vertex pushed and left
-by the edge it did not come in on.  No other edge meets a run, so it
-closes by how it ends: at a leaf or at a repeated edge its edges are
-bridges, at a back edge to the vertex it left it is a ring, at a back
-edge above that vertex it waits on the stack for a higher block, and at a
-vertex of degree 3 or more one frame stands for the whole run.  Only the
+more get a frame on the search's path.  The search enters each unreached
+neighbour by one walk: through the run of degree-2 vertices that starts
+there, perhaps empty, each vertex pushed and left by the edge it did not
+come in on, to the vertex that ends it.  No other edge meets a run, so the
+walk closes by that vertex: a leaf is marked reached and the run's edges
+are bridges; a vertex of degree 3 or more gets a frame, above one frame
+that stands for a nonempty run; at a repeated edge the run's edges are
+bridges, at a back edge to the vertex it left it is a ring, and at a back
+edge above that vertex it waits on the stack for a higher block.  Only the
 rings are kept, no edge or block, and a connected graph is a cactus
 exactly when their count is its cyclomatic number m - n + 1.  The search
 proves the graph connected when it reaches every vertex, and on a cactus
 it also proves that no edge is listed twice.
-The Graph keeps the rings until structure.decompose turns them into its
-decomposition.  Distances live in the oracle (oracle._element_codes).
+Every Graph is built with its rings, which structure.decompose reads to
+make its decomposition.  Distances live in the oracle (oracle._element_codes).
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ class Graph:
     """Connected simple undirected graph; build instances via build_graph.
 
     Immutable: assigning or deleting an attribute raises AttributeError.
-    Equality, hashing and pickling read n and adjacency only, never the
-    three memos: _edges, the edges derived from the adjacency on first
-    read; _rings, the rings of build_graph's block search, which
-    structure.decompose consumes and clears; and _decomposition, the block
-    structure structure.decompose keeps.
+    Besides n and adjacency it holds _rings, the rings of build_graph's
+    block search, from which structure.decompose builds the block
+    structure, and two memos: _edges, the edges derived from the adjacency
+    on first read, and _decomposition, the block structure decompose
+    keeps.  Equality and hashing read n and adjacency only, and pickling
+    carries the rings too, never a memo.
     """
 
     __slots__ = ("n", "m", "adjacency", "_edges", "_rings", "_decomposition", "__weakref__")
@@ -67,13 +70,14 @@ class Graph:
     m: int
     adjacency: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...],
+                 rings: tuple[tuple[int, ...], ...]) -> None:
         set_field = object.__setattr__
         set_field(self, "n", n)
         set_field(self, "m", sum(map(len, adjacency)) // 2)
         set_field(self, "adjacency", adjacency)
         set_field(self, "_edges", None)
-        set_field(self, "_rings", None)
+        set_field(self, "_rings", rings)
         set_field(self, "_decomposition", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -110,9 +114,9 @@ class Graph:
 
     def __reduce__(self):
         # The default protocol restores the slots through setattr, which a
-        # Graph refuses.  A copy derives its own edges and block structure
-        # on demand, searching for its blocks on its first decompose.
-        return (Graph, (self.n, self.adjacency))
+        # Graph refuses.  A copy carries the rings and derives its own edges
+        # and block structure from them on demand.
+        return (Graph, (self.n, self.adjacency, self._rings))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -137,7 +141,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     names the first bad edge in input order, as a scan that checks each
     edge in turn would, and a disconnected graph is reported only when
     every edge is valid.  The block search runs here, once, and the Graph
-    keeps its result for structure.decompose.
+    is built with its rings.
     """
     if n < 2:
         raise TooSmallError(f"need at least 2 vertices, got {n}")
@@ -182,11 +186,7 @@ def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
             _raise_first_bad_edge(n, edge_list, ids)
         if missing >= 0:
             raise DisconnectedError(f"vertex {missing} not reachable from vertex 0")
-    g = Graph(n, adjacency)
-    # Graph refuses assignment; its _rings slot is written past that
-    # guard here, and cleared by structure.decompose.
-    object.__setattr__(g, "_rings", rings)
-    return g
+    return Graph(n, adjacency, tuple(rings))
 
 
 def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[int, ...]], int]:
@@ -212,7 +212,6 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
     rings = []
     disc[0] = low[0] = 0
     timer = 1
-    leaves = 0
     done = iter(())
     path = [(0, -1, iter(adjacency[0]), 0, 0)]
     while path:
@@ -221,70 +220,49 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
         # no call per neighbour, and the for-else runs once v is finished.
         for w in neighbors:
             if disc[w] < 0:
-                degree = len(adjacency[w])
-                if degree == 1:
-                    # A leaf: its edge is a bridge, and no other vertex
-                    # meets it, so it needs no frame and no push, only a
-                    # mark that it was reached.
-                    disc[w] = 0
-                    leaves += 1
-                    continue
-                if degree == 2:
-                    # A run of degree-2 vertices from w: each has one way
-                    # on, so the walk pushes it and steps to the neighbour
-                    # it did not come from, x's other neighbour y.  No edge
-                    # but the run's own meets a run vertex, so the run is
-                    # closed by how it ends.
-                    top = len(stack)
-                    x, back = w, v
-                    while True:
-                        disc[x] = timer
-                        timer += 1
-                        stack.append(x)
-                        p, q = adjacency[x]
-                        y = q if p == back else p
-                        if disc[y] < 0 and len(adjacency[y]) == 2:
-                            x, back = y, x
-                        else:
-                            break
-                    if disc[y] < 0:
-                        if len(adjacency[y]) == 1:
-                            # At a leaf: the run's edges and the edge into
-                            # it are bridges.
-                            disc[y] = 0
-                            leaves += 1
-                            del stack[top:]
-                            continue
+                # The run of degree-2 vertices from w, perhaps empty: each
+                # has one way on, so the walk pushes it and steps to the
+                # neighbour it did not come from.  No edge but the run's own
+                # meets a run vertex, so the walk closes by the vertex y
+                # that ends it, x being the run's last vertex (v for none).
+                top = len(stack)
+                x, y = v, w
+                while disc[y] < 0 and len(adjacency[y]) == 2:
+                    disc[y] = timer
+                    timer += 1
+                    stack.append(y)
+                    p, q = adjacency[y]
+                    x, y = y, q if p == x else p
+                if disc[y] < 0:
+                    disc[y] = low[y] = timer
+                    timer += 1
+                    if len(adjacency[y]) > 1:
                         # At a vertex of degree 3 or more: one frame stands
-                        # for the whole run, its last vertex under v with
+                        # for a nonempty run, its last vertex under v with
                         # nothing left to scan, and y's frame goes above it.
-                        low[x] = disc[x]
-                        path.append((x, v, done, top, pending))
-                        disc[y] = low[y] = timer
-                        timer += 1
+                        if x != v:
+                            low[x] = disc[x]
+                            path.append((x, v, done, top, pending))
                         path.append((y, x, iter(adjacency[y]), len(stack), pending))
                         stack.append(y)
                         break
-                    if y == back:
-                        # At a repeated edge, both of x's entries: x has
-                        # no way on, and the run ends as at a leaf.
-                        del stack[top:]
-                    elif y == v:
-                        # At a back edge to v: v and the run are a ring.
-                        rings.append(_ring(v, stack[top:]))
-                        del stack[top:]
-                    else:
-                        # At a back edge above v: the run stays on the
-                        # stack for the block that closes higher up.
-                        pending += 1
-                        if disc[y] < low[v]:
-                            low[v] = disc[y]
+                    # At a leaf, marked reached above: the run's edges and
+                    # the edge into the leaf are bridges.
+                elif y == v and p != q:
+                    # At a back edge to v, which a reached y is when x's two
+                    # entries p and q differ: v and the run are a ring.
+                    rings.append(_ring(v, stack[top:]))
+                elif p != q:
+                    # At a back edge above v: the run stays on the stack for
+                    # the block that closes higher up.
+                    pending += 1
+                    if disc[y] < low[v]:
+                        low[v] = disc[y]
                     continue
-                disc[w] = low[w] = timer
-                timer += 1
-                path.append((w, v, iter(adjacency[w]), len(stack), pending))
-                stack.append(w)
-                break
+                # At a leaf, a ring at v, or a repeated edge (p == q, both
+                # of x's entries, so x has no way on): the run is popped.
+                del stack[top:]
+                continue
             if disc[w] < disc[v] and w != u:
                 # A back edge.  At the root (disc 0) the first test fails.
                 pending += 1
@@ -302,9 +280,8 @@ def _block_search(adjacency: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[in
                         rings.append(_ring(u, stack[i:]))
                     del stack[i:]
                     pending = owed
-    # Each vertex reached is a walked vertex's or a frame's (timer counts
-    # them) or a leaf's.
-    return rings, -1 if timer + leaves == n else disc.index(-1)
+    # The timer counts the vertices reached.
+    return rings, -1 if timer == n else disc.index(-1)
 
 
 def _ring(u: int, tail: list[int]) -> tuple[int, ...]:

@@ -1,10 +1,10 @@
 """Cactus recognition and per-cycle combinatorial structure.
 
 A cactus is a connected graph whose blocks are single edges or cycles.
-build_graph runs the package's one block search (graph._block_search) and
-the Graph keeps its rings; decompose turns them into what every consumer
-reads: the structural class, the leaf statistics and the cycles, each
-cycle a deterministic ring with its root positions marked.
+build_graph runs the package's one block search and builds the Graph with
+its rings; decompose turns them into what every consumer reads: the
+structural class, the leaf statistics and the cycles, each cycle a
+deterministic ring with its root positions marked.
 
 The module also decides geodesic-triple questions on a ring.  Three ring
 positions form a geodesic triple exactly when the three arcs they cut have
@@ -22,7 +22,7 @@ import enum
 from itertools import compress, count
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, GraphStats, _block_search, graph_stats
+from .graph import Graph, GraphStats, graph_stats
 
 
 class GraphClassTag(enum.Enum):
@@ -75,9 +75,7 @@ class Decomposition(NamedTuple):
 def decompose(g: Graph) -> Decomposition:
     """The block structure of g, built on the first call and kept on g.
 
-    The first call reads the rings build_graph's block search left on g
-    and clears them, or runs that search on a Graph made directly.
-
+    The first call reads the rings g was built with and never searches.
     A Graph is immutable, so later calls on the same object return the
     stored result.  Two threads racing on a fresh graph both compute an
     equal result, and either one may stay.
@@ -86,20 +84,14 @@ def decompose(g: Graph) -> Decomposition:
     if d is None:
         d = _decompose(g)
         # Graph refuses assignment; its _decomposition slot is written
-        # past that guard, here only, and the search result it was built
-        # from is dropped.
+        # past that guard, here only.
         object.__setattr__(g, "_decomposition", d)
-        object.__setattr__(g, "_rings", None)
     return d
 
 
 def _decompose(g: Graph) -> Decomposition:
-    rings = g._rings
-    if rings is None:
-        # A Graph made directly, such as an unpickled copy, has not searched.
-        rings, _ = _block_search(g.adjacency)
     stats = graph_stats(g)
-    c = len(rings)
+    c = len(g._rings)
     if c != stats.cyclomatic:
         # Some block has two or more back edges: neither bridge nor cycle.
         return Decomposition(GraphClass(GraphClassTag.GENERAL, c), stats, None)
@@ -115,7 +107,7 @@ def _decompose(g: Graph) -> Decomposition:
     new = tuple.__new__
     cycles = tuple(
         new(CycleInfo, (ring, frozenset(compress(count(), map(is_root.__getitem__, ring)))))
-        for ring in sorted(rings)
+        for ring in sorted(g._rings)
     )
     return Decomposition(GraphClass(tag, c), stats, cycles)
 

@@ -245,13 +245,11 @@ class TestVerbs:
 
     def test_dim_force_oracle_finds_the_blocks_once(self, graph_file, capsys, monkeypatch):
         import mixedmetric.graph as graph_mod
-        import mixedmetric.structure as structure_mod
 
         # One search, in build_graph; the formula and the oracle reuse it.
         calls = []
         real = graph_mod._block_search
-        for module in (graph_mod, structure_mod):
-            monkeypatch.setattr(module, "_block_search", lambda a: calls.append(a) or real(a))
+        monkeypatch.setattr(graph_mod, "_block_search", lambda a: calls.append(a) or real(a))
         assert run(["dim", graph_file(BOWTIE), "--force-oracle"]) == 0
         assert len(calls) == 1
 
@@ -703,6 +701,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(argv) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_deeply_nested_campaign_line_is_two(self, tmp_path, capsys):
+        # The JSON decoder recurses once per level, so this line exhausts the
+        # interpreter's stack: a malformed record all the same.
+        out = tmp_path / "deep.jsonl"
+        written = b"[" * 200_000 + b"]" * 200_000 + b"\n"
+        out.write_bytes(written)
+        assert run(["conjecture", "--count", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: line 1 is not a complete campaign record\n"
+        assert out.read_bytes() == written
 
     def test_directory_path_is_one(self, tmp_path, capsys):
         assert run(["classify", str(tmp_path)]) == 1

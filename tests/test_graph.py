@@ -23,7 +23,7 @@ from mixedmetric.oracle import _edge_codes, _element_codes
 from mixedmetric.structure import decompose
 
 from graphs import bowtie, complete, cycle, path, star, tadpole
-from reference import _element_rows, reference_build_graph_error
+from reference import _element_rows, reference_build_graph_error, reference_decompose
 
 
 class TestBuildGraph:
@@ -172,8 +172,8 @@ def test_build_graph_errors_match_the_edge_by_edge_reference(case):
         if want is None:
             g = build_graph(n, edge_list)
             assert g.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
-            # The search result it keeps decomposes as a fresh search does.
-            assert decompose(g) == decompose(Graph(g.n, g.adjacency))
+            # The rings it is built with decompose as the edge-list search's blocks do.
+            assert decompose(g) == reference_decompose(g)
         else:
             with pytest.raises(want[0]) as caught:
                 build_graph(n, edge_list)
@@ -202,7 +202,7 @@ def test_a_repeat_on_a_run_of_degree_2_vertices_is_reported(n, edges, message):
 
 
 class TestGraphRecord:
-    """A Graph is an immutable value of n and adjacency; its three memos are not part of it."""
+    """A Graph is an immutable value of n and adjacency; its rings and memos are not part of it."""
 
     def test_decomposing_one_of_two_equal_graphs_keeps_them_equal(self):
         g, h = tadpole(), tadpole()

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixedmetric import (
     CactusSpec,
@@ -36,7 +36,7 @@ from mixedmetric import (
 )
 from mixedmetric import graph as graph_module
 
-from graphs import bowtie, complete, cycle, path, tadpole
+from graphs import bowtie, complete, cycle, cycle_with_pendants, path, star, tadpole, theta
 from reference import reference_augment_for_triple, reference_blocks, reference_decompose
 
 
@@ -245,6 +245,18 @@ def decomposable_graphs(draw):
 
 
 @given(decomposable_graphs())
+# Each way the search's walk into an unreached neighbour ends, pinned once:
+# the root has degree 1; a leaf, then a vertex of degree 3 or more, reached
+# directly; a run of degree-2 vertices ending at a leaf (4 5, past the
+# ring); a run ending at a vertex of degree 3 or more (1, at 2); a run
+# closing a ring at the vertex it left; a run closing above it (3, at 0).
+@example(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)]))
+@example(star(3))
+@example(complete(4))
+@example(tadpole())
+@example(cycle_with_pendants(4, [2]))
+@example(cycle(5))
+@example(theta(2, 2, 2))
 @settings(max_examples=300, deadline=None)
 def test_decompose_matches_the_edge_list_block_search(g):
     # Tag, cycle count, stats, rings and root positions: the vertex stack's
@@ -331,9 +343,7 @@ def count_block_searches(monkeypatch):
         calls.append(adjacency)
         return real(adjacency)
 
-    # build_graph and decompose each name the search in their own module.
-    for module in (graph_module, structure):
-        monkeypatch.setattr(module, "_block_search", counted)
+    monkeypatch.setattr(graph_module, "_block_search", counted)
     return calls
 
 
@@ -351,12 +361,11 @@ def test_each_public_call_finds_the_blocks_once(monkeypatch, call, graph):
     assert len(calls) == 1
     call(g)
     assert len(calls) == 1
-    # An unpickled copy never ran build_graph: its first decompose searches.
-    h = pickle.loads(pickle.dumps(g))
-    call(h)
-    call(h)
-    assert len(calls) == 2
-    assert calls[1] == calls[0]
+    # An unpickled or copied graph carries the rings: it never searches.
+    for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        call(h)
+        call(h)
+    assert len(calls) == 1
 
 
 def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
@@ -372,18 +381,14 @@ def test_public_calls_on_one_graph_share_one_decomposition(monkeypatch):
 def test_a_decomposed_graph_is_freed_without_the_cyclic_gc():
     # Nothing a graph keeps may refer back to it, or every dropped graph
     # would wait for the cyclic GC and hold its memory until then: neither
-    # the search result build_graph leaves on it, nor the decomposition
-    # that replaces it.
+    # the rings it is built with, nor the decomposition made from them.
     enabled = gc.isenabled()
     gc.disable()
     try:
         for calls in ((), (mdim_exact, bound_report, build_min_generator, evaluate_conjecture)):
             g = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
-            assert g._rings is not None
             for call in calls:
                 call(g)
-            # Once decomposed, a graph keeps no raw search result.
-            assert (g._rings is None) == bool(calls)
             ref = weakref.ref(g)
             del g
             assert ref() is None
